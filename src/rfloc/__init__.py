@@ -50,7 +50,7 @@ from .regressors import (
     predict,
     svr_fit,
 )
-from .registry import DEFAULT_STACK_BASES, builder_for, expand_model_ids, fit_model, fit_spec
+from .registry import DEFAULT_STACK_BASES, builder_for, expand_model_ids, fit_model
 from .simulate import (
     Scenario,
     SignatureObject,
@@ -102,7 +102,6 @@ __all__ = [
     "expand_model_ids",
     "extra_trees_fit",
     "fit_model",
-    "fit_spec",
     "generate_dataset",
     "gpr_fit",
     "gradient_boost_fit",

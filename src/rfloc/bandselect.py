@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, SensorConfig, train_test_split
+from .ensemble import _child_seed
 from .evaluate import EvalReport, evaluate_model, rmse
 
 
@@ -138,16 +139,12 @@ def dddas_cycle(
 
     def run(config: SensorConfig) -> tuple[EvalReport, object, Dataset]:
         data = generate_dataset(scenario, config, positions)
-        split = train_test_split(data, train_fraction, _derived(seed, 1))
-        model = fit_model(model_spec, split.train, seed=_derived(seed, 2))
+        split = train_test_split(data, train_fraction, _child_seed(seed, 1))
+        model = fit_model(model_spec, split.train, seed=_child_seed(seed, 2))
         return evaluate_model(model, canonical_id(model_spec), split.test), model, split.test
 
     before, model, test = run(full_config)
-    report = permutation_importance(model, test, n_repeats=n_repeats, seed=_derived(seed, 3))
+    report = permutation_importance(model, test, n_repeats=n_repeats, seed=_child_seed(seed, 3))
     rated = select_rated_band(report, top_k, base=full_config)
     after, _, _ = run(rated)
     return rated, before, after
-
-
-def _derived(seed: int, stream: int) -> int:
-    return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])

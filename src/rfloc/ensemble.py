@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import Dataset
-from .regressors import CartRegressor, Model
+from .core import Dataset, validate_dataset
+from .regressors import CartRegressor, Model, fit_on_dataset
 
 STRATEGIES = (
     "boosting-abr",
@@ -28,10 +28,19 @@ STRATEGIES = (
     "stacking",
 )
 
+# Default stacking base list: the five single regressors plus the five
+# ensemble regressors from the boosting/bagging comparisons.
+DEFAULT_STACK_BASES = ("svr", "knr", "gpr", "dtr", "mlp", "abr", "gbr", "hgbr", "rfr", "ert")
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Declarative description of one ensemble configuration."""
+    """Declarative description of one ensemble configuration.
+
+    base and final hold model ids. boosting-abr and bagging take exactly one
+    base, gbr, hgbr, random-forest and extra-trees take none, and stacking
+    takes a final plus one or more bases (DEFAULT_STACK_BASES when empty).
+    """
 
     strategy: str
     base: tuple[str, ...] = ()
@@ -55,35 +64,31 @@ class EnsembleSpec:
             raise ValueError(f"max_bins must be in [2, 256], got {self.max_bins}")
         if self.n_folds < 2:
             raise ValueError(f"n_folds must be >= 2, got {self.n_folds}")
-        if self.strategy == "stacking" and self.final is None:
-            raise ValueError("stacking requires a final estimator id")
+        if self.strategy == "stacking":
+            if self.final is None:
+                raise ValueError("stacking requires a final estimator id")
+            if not self.base:
+                object.__setattr__(self, "base", DEFAULT_STACK_BASES)
+            return
+        if self.final is not None:
+            raise ValueError(
+                f"only stacking takes a final estimator id; {self.strategy} got final={self.final!r}"
+            )
+        if self.strategy in ("boosting-abr", "bagging"):
+            if len(self.base) != 1:
+                raise ValueError(
+                    f"{self.strategy} takes exactly one base estimator id, got base={self.base!r}"
+                )
+        elif self.base:
+            raise ValueError(f"{self.strategy} takes no base estimator ids, got base={self.base!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "base": list(self.base),
-            "final": self.final,
-            "n_estimators": self.n_estimators,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "max_bins": self.max_bins,
-            "n_folds": self.n_folds,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "base": list(self.base)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleSpec":
-        return cls(
-            strategy=d["strategy"],
-            base=tuple(d.get("base", ())),
-            final=d.get("final"),
-            n_estimators=d.get("n_estimators", 100),
-            learning_rate=d.get("learning_rate", 0.1),
-            max_depth=d.get("max_depth", 3),
-            max_bins=d.get("max_bins", 256),
-            n_folds=d.get("n_folds", 5),
-            seed=d.get("seed", 0),
-        )
+        """Inverse of to_dict; absent keys take the field defaults."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def _child_seed(*keys) -> int:
@@ -110,7 +115,21 @@ def weighted_median(predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-class AdaBoostR2(Model):
+class _BuilderEnsemble(Model):
+    """An ensemble whose members come from (train: Dataset, seed) builders.
+
+    Subclasses implement fit_dataset; fit wraps raw arrays in a Dataset with
+    placeholder frequencies 1..m.
+    """
+
+    def fit(self, features, labels):
+        features = np.asarray(features, dtype=np.float64)
+        return self.fit_dataset(
+            validate_dataset(features, labels, np.arange(1, features.shape[1] + 1))
+        )
+
+
+class AdaBoostR2(_BuilderEnsemble):
     """Adaptive boosting for regression with linear loss.
 
     Each round resamples the training set by the current sample weights,
@@ -172,14 +191,6 @@ class AdaBoostR2(Model):
         self._fitted = True
         return self
 
-    def fit(self, features, labels):
-        from .core import validate_dataset
-
-        features = np.asarray(features, dtype=np.float64)
-        return self.fit_dataset(
-            validate_dataset(features, labels, np.arange(1, features.shape[1] + 1))
-        )
-
     def _predict(self, features):
         preds = np.stack([m.predict(features) for m in self.members_])
         return weighted_median(preds, self.member_weights_)
@@ -201,7 +212,6 @@ class GradientBoosting(Model):
         n_estimators: int = 100,
         learning_rate: float = 0.1,
         max_depth: int | None = 3,
-        seed: int = 0,
     ):
         super().__init__()
         if n_estimators < 0:
@@ -209,7 +219,6 @@ class GradientBoosting(Model):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.seed = seed
 
     def fit(self, features, labels):
         X = np.asarray(features, dtype=np.float64)
@@ -269,7 +278,6 @@ class HistGradientBoosting(Model):
         learning_rate: float = 0.1,
         max_depth: int | None = 3,
         max_bins: int = 256,
-        seed: int = 0,
     ):
         super().__init__()
         if not 2 <= max_bins <= 256:
@@ -278,7 +286,6 @@ class HistGradientBoosting(Model):
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.max_bins = max_bins
-        self.seed = seed
 
     def _bin(self, X):
         codes = np.empty_like(X)
@@ -293,7 +300,6 @@ class HistGradientBoosting(Model):
             n_estimators=self.n_estimators,
             learning_rate=self.learning_rate,
             max_depth=self.max_depth,
-            seed=self.seed,
         )
         self._booster.fit(self._bin(X), labels)
         self.train_rmse_path = self._booster.train_rmse_path
@@ -310,7 +316,7 @@ class HistGradientBoosting(Model):
         return [len(e) + 1 for e in self._edges]
 
 
-class BaggingEnsemble(Model):
+class BaggingEnsemble(_BuilderEnsemble):
     """Bootstrap aggregation: seeded resamples, unweighted mean prediction."""
 
     kind = "bagging"
@@ -340,14 +346,6 @@ class BaggingEnsemble(Model):
         self.n_outputs = train.labels.shape[1]
         self._fitted = True
         return self
-
-    def fit(self, features, labels):
-        from .core import validate_dataset
-
-        features = np.asarray(features, dtype=np.float64)
-        return self.fit_dataset(
-            validate_dataset(features, labels, np.arange(1, features.shape[1] + 1))
-        )
 
     def _predict(self, features):
         preds = np.stack([m.predict(features) for m in self.members_])
@@ -409,7 +407,7 @@ class ExtraTrees(_TreeForest):
         super().__init__(n_estimators, max_features, False, True, seed)
 
 
-class StackingEnsemble(Model):
+class StackingEnsemble(_BuilderEnsemble):
     """Stacked generalization with out-of-fold meta-features.
 
     Row i of the meta-feature matrix (width 3 * n_bases) is predicted by
@@ -458,14 +456,6 @@ class StackingEnsemble(Model):
         self._fitted = True
         return self
 
-    def fit(self, features, labels):
-        from .core import validate_dataset
-
-        features = np.asarray(features, dtype=np.float64)
-        return self.fit_dataset(
-            validate_dataset(features, labels, np.arange(1, features.shape[1] + 1))
-        )
-
     def _predict(self, features):
         meta = np.hstack([m.predict(features) for m in self.full_bases_])
         return self.final_.predict(meta)
@@ -478,6 +468,7 @@ class StackingPlan:
 
     meta_features: np.ndarray
     full_bases: list
+    base_builders: list
     fold_plan: list = field(default_factory=list)
     build_time_s: float = 0.0
 
@@ -518,6 +509,7 @@ def build_stacking_plan(train: Dataset, base_builders, n_folds: int = 5, seed: i
     return StackingPlan(
         meta_features=meta,
         full_bases=full_bases,
+        base_builders=list(base_builders),
         fold_plan=fold_plan,
         build_time_s=time.perf_counter() - t0,
     )
@@ -526,19 +518,20 @@ def build_stacking_plan(train: Dataset, base_builders, n_folds: int = 5, seed: i
 def stacking_fit_from_plan(
     train: Dataset, plan: StackingPlan, final_builder, n_folds: int = 5, seed: int = 0
 ) -> StackingEnsemble:
-    """Fit a stacking model reusing a previously built plan (shared bases)."""
-    model = StackingEnsemble([None], final_builder, n_folds=n_folds, seed=seed)
-    model.base_builders = []
-    return model._attach_plan(train, plan)
+    """Fit a stacking model reusing a previously built plan (shared bases).
+
+    fit_time_s is the plan's build time plus the final estimator's own fit
+    time, so every model that shares a plan reports the full cost of a fit.
+    """
+    model = StackingEnsemble(plan.base_builders, final_builder, n_folds=n_folds, seed=seed)
+    model._attach_plan(train, plan)
+    model.fit_time_s = plan.build_time_s + getattr(model.final_, "fit_time_s", 0.0)
+    model.frequencies_mhz = train.frequencies_mhz
+    return model
 
 
 def adaboost_r2_fit(train: Dataset, base_builder, n_estimators: int = 50, seed: int = 0) -> AdaBoostR2:
-    model = AdaBoostR2(base_builder, n_estimators=n_estimators, seed=seed)
-    t0 = time.perf_counter()
-    model.fit_dataset(train)
-    model.fit_time_s = time.perf_counter() - t0
-    model.frequencies_mhz = train.frequencies_mhz
-    return model
+    return fit_on_dataset(AdaBoostR2(base_builder, n_estimators=n_estimators, seed=seed), train)
 
 
 def gradient_boost_fit(
@@ -546,17 +539,9 @@ def gradient_boost_fit(
     n_estimators: int = 100,
     learning_rate: float = 0.1,
     max_depth: int | None = 3,
-    seed: int = 0,
 ) -> GradientBoosting:
-    from .regressors import fit_on_dataset
-
     return fit_on_dataset(
-        GradientBoosting(
-            n_estimators=n_estimators,
-            learning_rate=learning_rate,
-            max_depth=max_depth,
-            seed=seed,
-        ),
+        GradientBoosting(n_estimators=n_estimators, learning_rate=learning_rate, max_depth=max_depth),
         train,
     )
 
@@ -567,17 +552,13 @@ def hist_gradient_boost_fit(
     learning_rate: float = 0.1,
     max_depth: int | None = 3,
     max_bins: int = 256,
-    seed: int = 0,
 ) -> HistGradientBoosting:
-    from .regressors import fit_on_dataset
-
     return fit_on_dataset(
         HistGradientBoosting(
             n_estimators=n_estimators,
             learning_rate=learning_rate,
             max_depth=max_depth,
             max_bins=max_bins,
-            seed=seed,
         ),
         train,
     )
@@ -586,12 +567,10 @@ def hist_gradient_boost_fit(
 def bagging_fit(
     train: Dataset, base_builder, n_estimators: int = 100, bootstrap: bool = True, seed: int = 0
 ) -> BaggingEnsemble:
-    model = BaggingEnsemble(base_builder, n_estimators=n_estimators, bootstrap=bootstrap, seed=seed)
-    t0 = time.perf_counter()
-    model.fit_dataset(train)
-    model.fit_time_s = time.perf_counter() - t0
-    model.frequencies_mhz = train.frequencies_mhz
-    return model
+    return fit_on_dataset(
+        BaggingEnsemble(base_builder, n_estimators=n_estimators, bootstrap=bootstrap, seed=seed),
+        train,
+    )
 
 
 def random_forest_fit(
@@ -601,8 +580,6 @@ def random_forest_fit(
     bootstrap: bool = True,
     seed: int = 0,
 ) -> RandomForest:
-    from .regressors import fit_on_dataset
-
     return fit_on_dataset(
         RandomForest(
             n_estimators=n_estimators, max_features=max_features, bootstrap=bootstrap, seed=seed
@@ -614,8 +591,6 @@ def random_forest_fit(
 def extra_trees_fit(
     train: Dataset, n_estimators: int = 100, max_features: int | None = None, seed: int = 0
 ) -> ExtraTrees:
-    from .regressors import fit_on_dataset
-
     return fit_on_dataset(
         ExtraTrees(n_estimators=n_estimators, max_features=max_features, seed=seed), train
     )
@@ -624,9 +599,6 @@ def extra_trees_fit(
 def stacking_fit(
     train: Dataset, base_builders, final_builder, n_folds: int = 5, seed: int = 0
 ) -> StackingEnsemble:
-    model = StackingEnsemble(base_builders, final_builder, n_folds=n_folds, seed=seed)
-    t0 = time.perf_counter()
-    model.fit_dataset(train)
-    model.fit_time_s = time.perf_counter() - t0
-    model.frequencies_mhz = train.frequencies_mhz
-    return model
+    return fit_on_dataset(
+        StackingEnsemble(base_builders, final_builder, n_folds=n_folds, seed=seed), train
+    )

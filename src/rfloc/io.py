@@ -30,13 +30,16 @@ def dataset_header(frequencies_mhz) -> str:
     return ",".join([f"f_{_fmt(f)}" for f in frequencies_mhz] + ["x", "y", "z"])
 
 
+def _dataset_lines(dataset: Dataset):
+    """Every sample as one newline-terminated CSV line: features, then x,y,z."""
+    for row in np.hstack([dataset.features, dataset.labels]):
+        yield ",".join(map(repr, row.tolist())) + "\n"
+
+
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
-    lines = [dataset_header(dataset.frequencies_mhz)]
-    for i in range(dataset.n):
-        row = [_fmt(v) for v in dataset.features[i]] + [_fmt(v) for v in dataset.labels[i]]
-        lines.append(",".join(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(dataset_header(dataset.frequencies_mhz) + "\n")
+        fh.writelines(_dataset_lines(dataset))
 
 
 def _parse_dataset_header(header_line: str, path: str) -> tuple[float, ...]:
@@ -89,12 +92,8 @@ def append_dataset_csv(dataset: Dataset, path: str) -> None:
             f"{path}: existing file carries frequencies {existing}, "
             f"cannot append rows with {dataset.frequencies_mhz}"
         )
-    lines = []
-    for i in range(dataset.n):
-        row = [_fmt(v) for v in dataset.features[i]] + [_fmt(v) for v in dataset.labels[i]]
-        lines.append(",".join(row))
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(_dataset_lines(dataset))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,10 @@ class Model:
     def fit(self, features, labels):
         raise NotImplementedError
 
+    def fit_dataset(self, train: Dataset):
+        """Fit on a Dataset; ensembles whose members need Dataset rows override this."""
+        return self.fit(train.features, train.labels)
+
     def predict(self, features) -> np.ndarray:
         if not self._fitted:
             raise NotFittedError(f"{type(self).__name__} is not fitted")
@@ -53,7 +57,7 @@ class Model:
 def fit_on_dataset(model: Model, train: Dataset) -> Model:
     """Fit a model on a Dataset, recording wall-clock fit time and the band."""
     t0 = time.perf_counter()
-    model.fit(train.features, train.labels)
+    model.fit_dataset(train)
     model.fit_time_s = time.perf_counter() - t0
     model.frequencies_mhz = train.frequencies_mhz
     return model
@@ -229,43 +233,47 @@ class CartRegressor(Model):
         sse_node = float((tot2 - tot1 * tot1 / k).sum())
         if sse_node <= 0.0:
             return None
+        # A prefix of j+1 sorted rows is a candidate left side when the value
+        # changes after it and both sides keep min_samples_leaf rows.
+        n_left = np.arange(1, k)
+        n_right = k - n_left
+        size_ok = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
+        if not size_ok.any():
+            return None
         best = None
         best_gain = 0.0
-        for f in feats:
-            v = X[rows, f]
-            order = np.argsort(v, kind="stable")
-            vs = v[order]
-            bounds = np.nonzero(vs[:-1] != vs[1:])[0]
-            if bounds.size == 0:
-                continue
-            n_left = bounds + 1
-            n_right = k - n_left
-            ok = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
-            if not ok.any():
-                continue
-            bounds = bounds[ok]
-            n_left = n_left[ok]
-            n_right = n_right[ok]
-            Ys = Yn[order]
-            c1 = np.cumsum(Ys, axis=0)
-            c2 = np.cumsum(Ys * Ys, axis=0)
-            s1l = c1[bounds]
-            s2l = c2[bounds]
-            sse_l = (s2l - s1l * s1l / n_left[:, None]).sum(axis=1)
-            s1r = tot1 - s1l
-            s2r = tot2 - s2l
-            sse_r = (s2r - s1r * s1r / n_right[:, None]).sum(axis=1)
+        # All candidate features of a block at once, one column each; the
+        # block keeps the (rows, features, outputs) temporaries near 2**14.
+        block = max(1, (1 << 14) // (k * Yn.shape[1]))
+        for start in range(0, len(feats), block):
+            fb = feats[start : start + block]
+            V = X[rows[:, None], fb]
+            order = np.argsort(V, axis=0, kind="stable")
+            vs = np.take_along_axis(V, order, axis=0)
+            Ys = Yn[order]  # (k, features, outputs)
+            c1 = np.cumsum(Ys, axis=0)[:-1]
+            c2 = np.cumsum(Ys * Ys, axis=0)[:-1]
+            sse_l = (c2 - c1 * c1 / n_left[:, None, None]).sum(axis=2)
+            s1r = tot1 - c1
+            s2r = tot2 - c2
+            sse_r = (s2r - s1r * s1r / n_right[:, None, None]).sum(axis=2)
             gain = sse_node - sse_l - sse_r
-            j = int(np.argmax(gain))  # first max: lowest threshold wins ties
-            if gain[j] > best_gain:
-                best_gain = float(gain[j])
-                thr = (vs[bounds[j]] + vs[bounds[j] + 1]) / 2.0
-                if thr >= vs[bounds[j] + 1]:
+            ok = (vs[:-1] != vs[1:]) & size_ok[:, None]
+            gain = np.where(ok, gain, -np.inf)
+            js = np.argmax(gain, axis=0)  # first max: lowest threshold wins ties
+            col_gain = gain[js, np.arange(len(fb))]
+            col_gain[np.isnan(col_gain)] = -np.inf  # a NaN gain never wins a feature
+            c = int(np.argmax(col_gain))  # first max: lowest feature wins ties
+            if col_gain[c] > best_gain:
+                best_gain = float(col_gain[c])
+                j = js[c]
+                thr = (vs[j, c] + vs[j + 1, c]) / 2.0
+                if thr >= vs[j + 1, c]:
                     # midpoint of adjacent doubles can round up to the higher
                     # value; fall back to the lower one so "<= thr" still
                     # separates the two groups
-                    thr = vs[bounds[j]]
-                best = (int(f), float(thr), float(vs[0]), float(vs[-1]))
+                    thr = vs[j, c]
+                best = (int(fb[c]), float(thr), float(vs[0, c]), float(vs[-1, c]))
         return best
 
     def _best_random_split(self, X, Yn, rows, feats, rng):
@@ -304,20 +312,17 @@ class CartRegressor(Model):
         return best
 
     def _predict(self, features):
-        out = np.empty((features.shape[0], self.n_outputs))
-        stack = [(0, np.arange(features.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            f = self._feature[node]
-            if f < 0:
-                out[rows] = self._value[node]
-                continue
-            mask = features[rows, f] <= self._threshold[node]
-            stack.append((self._left[node], rows[mask]))
-            stack.append((self._right[node], rows[~mask]))
-        return out
+        # Move every query row down one level per pass until all sit in leaves.
+        node = np.zeros(features.shape[0], dtype=np.intp)
+        active = np.arange(features.shape[0])
+        while active.size:
+            cur = node[active]
+            f = self._feature[cur]
+            inner = f >= 0
+            active, cur, f = active[inner], cur[inner], f[inner]
+            go_left = features[active, f] <= self._threshold[cur]
+            node[active] = np.where(go_left, self._left[cur], self._right[cur])
+        return self._value[node]
 
     @property
     def node_count(self) -> int:

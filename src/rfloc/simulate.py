@@ -9,7 +9,6 @@ out-of-band rolloff. Powers from multiple transmitters add in the linear
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,25 +162,26 @@ def received_power(
     """Noise-free power (dB) one source delivers at one position and frequency."""
     if not scenario.contains(position):
         raise ValueError(f"position {position} outside room bounds {scenario.room_dims}")
-    d = float(np.linalg.norm(position.as_array() - source.position.as_array()))
-    path_loss = 10.0 * source.path_loss_exponent * math.log10(max(d, D0_M) / D0_M)
-    atten = _object_attenuation_db(scenario, source, position)
-    rolloff = float(spectral_rolloff_db(source, frequency_mhz))
-    return source.tx_power_dbm - path_loss - atten - rolloff
+    return float(_source_power_db(scenario, source, [position], [frequency_mhz])[0, 0])
+
+
+def _source_power_db(scenario: Scenario, source: SoopSource, positions, freqs) -> np.ndarray:
+    """Noise-free power (dB) of one source, one row per position, one column
+    per frequency: path loss, obstruction attenuation and spectral rolloff."""
+    pos_xyz = np.array([p.as_array() for p in positions])  # (P, 3)
+    d = np.linalg.norm(pos_xyz - source.position.as_array(), axis=1)
+    path_loss = 10.0 * source.path_loss_exponent * np.log10(np.maximum(d, D0_M) / D0_M)
+    atten = np.array([_object_attenuation_db(scenario, source, p) for p in positions])
+    rolloff = spectral_rolloff_db(source, freqs)  # (F,)
+    return (source.tx_power_dbm - path_loss - atten)[:, None] - rolloff[None, :]
 
 
 def _mean_power_matrix(scenario: Scenario, band_mhz, positions) -> np.ndarray:
     """Noise-free feature matrix, one row per position (linear-domain sum)."""
     freqs = np.asarray(band_mhz, dtype=np.float64)
-    pos_xyz = np.array([p.as_array() for p in positions])  # (P, 3)
     linear_sum = np.zeros((len(positions), len(freqs)))
     for src in scenario.sources:
-        d = np.linalg.norm(pos_xyz - src.position.as_array(), axis=1)
-        path_loss = 10.0 * src.path_loss_exponent * np.log10(np.maximum(d, D0_M) / D0_M)
-        atten = np.array([_object_attenuation_db(scenario, src, p) for p in positions])
-        rolloff = spectral_rolloff_db(src, freqs)  # (F,)
-        power_db = (src.tx_power_dbm - path_loss - atten)[:, None] - rolloff[None, :]
-        linear_sum += 10.0 ** (power_db / 10.0)
+        linear_sum += 10.0 ** (_source_power_db(scenario, src, positions, freqs) / 10.0)
     if scenario.noise_floor_dbm is not None:
         linear_sum += 10.0 ** (scenario.noise_floor_dbm / 10.0)
     return 10.0 * np.log10(linear_sum)

@@ -26,7 +26,7 @@ from rfloc.ensemble import (
     stacking_fit_from_plan,
     weighted_median,
 )
-from rfloc.regressors import cart_fit, knn_fit
+from rfloc.regressors import cart_fit, fit_on_dataset, knn_fit
 
 from conftest import toy_dataset
 
@@ -244,6 +244,22 @@ class TestBagging:
         assert np.array_equal(a.predict(ds.features), b.predict(ds.features))
 
 
+class TestArrayFit:
+    def test_array_fit_matches_dataset_fit(self):
+        ds = toy_dataset(n=30, m=3, seed=15)
+        X, Y = np.array(ds.features), np.array(ds.labels)
+        tree = lambda sub, seed: cart_fit(sub, max_depth=2)
+        makers = (
+            lambda: AdaBoostR2(tree, n_estimators=3, seed=1),
+            lambda: BaggingEnsemble(tree, n_estimators=3, seed=1),
+            lambda: StackingEnsemble([tree, tree], tree, seed=1),
+        )
+        for make in makers:
+            on_arrays = make().fit(X, Y)
+            on_dataset = fit_on_dataset(make(), _dataset(X, Y))
+            assert np.array_equal(on_arrays.predict(X), on_dataset.predict(X))
+
+
 class TestForests:
     def test_forest_averages_its_members(self, rng):
         ds = toy_dataset(n=60, m=4, seed=4)
@@ -327,6 +343,8 @@ class TestStacking:
         direct = stacking_fit(ds, builders, final, seed=4)
         Q = ds.features[:8]
         assert np.array_equal(via_plan.predict(Q), direct.predict(Q))
+        assert via_plan.base_builders == plan.base_builders == builders
+        assert via_plan.frequencies_mhz == ds.frequencies_mhz
 
     def test_validation(self):
         ds = toy_dataset(n=6, m=2, seed=14)

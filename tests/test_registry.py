@@ -1,5 +1,7 @@
 """Model id grammar, alias expansion, and EnsembleSpec-driven fitting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,7 @@ from rfloc.registry import (
     canonical_id,
     expand_model_ids,
     fit_model,
-    fit_spec,
-    normalize_id,
+    parse_model_id,
 )
 
 from conftest import toy_dataset
@@ -22,9 +23,9 @@ from conftest import toy_dataset
 
 class TestNormalizeAndExpand:
     def test_normalize_shortcuts(self):
-        assert normalize_id("ABR") == "abr-dtr"
-        assert normalize_id("etr") == "ert"
-        assert normalize_id(" KNR ") == "knr"
+        assert canonical_id("ABR") == "abr-dtr"
+        assert canonical_id("etr") == "ert"
+        assert canonical_id(" KNR ") == "knr"
 
     def test_alias_groups(self):
         assert expand_model_ids(["baseline-all"]) == list(BASE_IDS)
@@ -98,10 +99,10 @@ class TestEnsembleSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="strategy"):
             EnsembleSpec(strategy="voting")
-        with pytest.raises(ValueError):
-            EnsembleSpec(strategy="bagging", n_estimators=0)
-        with pytest.raises(ValueError):
-            EnsembleSpec(strategy="bagging", learning_rate=0.0)
+        with pytest.raises(ValueError, match="n_estimators"):
+            EnsembleSpec(strategy="bagging", base=("dtr",), n_estimators=0)
+        with pytest.raises(ValueError, match="learning_rate"):
+            EnsembleSpec(strategy="bagging", base=("dtr",), learning_rate=0.0)
         with pytest.raises(ValueError, match="final"):
             EnsembleSpec(strategy="stacking")
 
@@ -149,14 +150,85 @@ class TestFitModel:
 
 class TestFitSpec:
     def test_bagging_needs_exactly_one_base(self):
-        ds = toy_dataset(n=20, m=2, seed=5)
-        with pytest.raises(ValueError, match="exactly one"):
-            fit_spec(EnsembleSpec(strategy="bagging", base=("knr", "dtr")), ds)
-        with pytest.raises(ValueError, match="exactly one"):
-            fit_spec(EnsembleSpec(strategy="boosting-abr", base=()), ds)
+        with pytest.raises(ValueError, match=r"exactly one base .*\('knr', 'dtr'\)"):
+            EnsembleSpec(strategy="bagging", base=("knr", "dtr"))
+        with pytest.raises(ValueError, match=r"exactly one base .*\(\)"):
+            EnsembleSpec(strategy="boosting-abr", base=())
 
     def test_gbr_spec_parameters_apply(self):
         ds = toy_dataset(n=30, m=3, seed=6)
         spec = EnsembleSpec(strategy="boosting-gbr", n_estimators=7)
-        model = fit_spec(spec, ds)
+        model = fit_model(spec, ds)
         assert len(model.train_rmse_path) == 7
+
+    def test_base_count_and_final_checked_at_construction(self):
+        for strategy in ("boosting-gbr", "boosting-hgbr", "random-forest", "extra-trees"):
+            with pytest.raises(ValueError, match=r"no base estimator ids, got base=\('dtr',\)"):
+                EnsembleSpec(strategy=strategy, base=("dtr",))
+        with pytest.raises(ValueError, match="final='knr'"):
+            EnsembleSpec(strategy="bagging", base=("dtr",), final="knr")
+
+    def test_empty_stacking_base_is_the_default_list(self):
+        spec = EnsembleSpec(strategy="stacking", final="gbr")
+        assert spec.base == DEFAULT_STACK_BASES
+        assert spec == parse_model_id("stacking-gbr")
+
+
+# every id the grammar documents, plus its shortcuts and nested forms
+GRAMMAR_IDS = sorted(
+    set(BASE_IDS).union(*ALIASES.values())
+    | {"abr", "etr", "bagging-abr-knr", "stacking-gbr[knr+dtr]"}
+)
+
+
+class TestParseModelId:
+    def test_forms(self):
+        assert parse_model_id(" KNR ") == "knr"
+        assert parse_model_id("abr") == EnsembleSpec(
+            strategy="boosting-abr", base=("dtr",), n_estimators=50
+        )
+        assert parse_model_id("etr") == EnsembleSpec(strategy="extra-trees")
+        assert parse_model_id("bagging-abr-knr") == EnsembleSpec(strategy="bagging", base=("abr-knr",))
+        assert parse_model_id("stacking-gbr[knr+dtr]") == EnsembleSpec(
+            strategy="stacking", base=("knr", "dtr"), final="gbr"
+        )
+        assert parse_model_id("stacking-knr[stacking-gbr[knr+dtr]+svr]") == EnsembleSpec(
+            strategy="stacking", base=("stacking-gbr[knr+dtr]", "svr"), final="knr"
+        )
+
+    def test_canonical_id_is_the_inverse(self):
+        for mid in GRAMMAR_IDS + ["stacking-knr[stacking-gbr[knr+dtr]+svr]"]:
+            spec = parse_model_id(mid)
+            assert parse_model_id(canonical_id(spec)) == spec, mid
+            assert canonical_id(mid) == canonical_id(spec)
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ("stacking-gbr[knr", "unknown model id 'gbr[knr'"),
+            ("stacking-gbr]", "unbalanced brackets in stacking id 'gbr]'"),
+            ("stacking-gbr[]", "unknown model id ''"),
+            ("stacking-[knr]", "unknown model id ''"),
+            ("abr-nothing", "unknown model id 'nothing'"),
+        ],
+    )
+    def test_malformed_ids_name_the_bad_part(self, bad, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            parse_model_id(bad)
+
+    def test_id_and_parsed_spec_fit_identically(self):
+        ds = toy_dataset(n=10, m=2, seed=7)
+        cache = {}
+        for mid in GRAMMAR_IDS:
+            by_id = fit_model(mid, ds, seed=3, plan_cache=cache)
+            by_spec = fit_model(parse_model_id(mid), ds, seed=3, plan_cache=cache)
+            assert np.array_equal(by_id.predict(ds.features), by_spec.predict(ds.features)), mid
+
+    def test_stacking_fit_does_not_depend_on_the_cache(self):
+        ds = toy_dataset(n=30, m=3, seed=8)
+        spec = EnsembleSpec(strategy="stacking", base=("knr", "dtr"), final="dtr", seed=4)
+        for item in ("stacking-gbr[knr+dtr]", spec):
+            cached = fit_model(item, ds, seed=2, plan_cache={})
+            fresh = fit_model(item, ds, seed=2)
+            assert np.array_equal(cached.meta_features_, fresh.meta_features_)
+            assert np.array_equal(cached.predict(ds.features), fresh.predict(ds.features))

@@ -149,6 +149,31 @@ class TestCart:
                         best_gain, best = gain, (f, thr)
             assert (rec.feature, rec.threshold) == best
 
+    def test_equal_gain_ties_go_to_the_lowest_feature(self, rng):
+        # 40 identical columns over 300 rows: every split ties on all of
+        # them, across more candidates than the split scan takes at once
+        v = rng.normal(size=(300, 1))
+        X = np.tile(v, (1, 40))
+        Y = np.hstack([v, -v, v * v]) + rng.normal(scale=0.1, size=(300, 3))
+        m = CartRegressor(max_depth=4).fit(X, Y)
+        assert len(m.split_log) > 1
+        assert {r.feature for r in m.split_log} == {0}
+
+    def test_predict_matches_a_row_by_row_walk(self, rng):
+        X = rng.normal(size=(120, 4))
+        Y = rng.normal(size=(120, 3))
+        m = CartRegressor(min_samples_leaf=3).fit(X, Y)
+        Q = np.vstack([rng.normal(size=(30, 4)), X[:10]])
+
+        def walk(q):
+            node = 0
+            while m._feature[node] >= 0:
+                go_left = q[m._feature[node]] <= m._threshold[node]
+                node = m._left[node] if go_left else m._right[node]
+            return m._value[node]
+
+        assert np.array_equal(m.predict(Q), np.array([walk(q) for q in Q]))
+
     def test_min_samples_leaf_limits_thresholds(self):
         X = np.arange(6.0)[:, None]
         Y = X.copy()
