@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, SensorConfig, train_test_split
-from .ensemble import _child_seed
+from .core import Dataset, SensorConfig, _child_rng, _child_seed, train_test_split
 from .evaluate import EvalReport, evaluate_model, rmse
 
 
@@ -65,8 +64,7 @@ def permutation_importance(model, test: Dataset, n_repeats: int = 5, seed: int =
     for j in range(test.m):
         increase = 0.0
         for r in range(n_repeats):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, j, r]))
-            work[:, j] = X[rng.permutation(test.n), j]
+            work[:, j] = X[_child_rng(seed, j, r).permutation(test.n), j]
             increase += rmse(test.labels, model.predict(work)) - baseline
         work[:, j] = X[:, j]
         scores[j] = increase / n_repeats

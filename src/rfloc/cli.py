@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from .bandselect import permutation_importance, select_rated_band
@@ -20,6 +19,7 @@ from .evaluate import benchmark, format_report_table
 from .io import (
     append_dataset_csv,
     read_dataset_csv,
+    read_json,
     read_rtlpower_scan,
     read_scenario_json,
     read_sensor_config_json,
@@ -39,17 +39,14 @@ class UsageError(Exception):
     """Bad argument values: reported on stderr, exit code 2."""
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+def _config_object(payload) -> dict:
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     return payload
+
+
+def _load_config(path: str | None) -> dict:
+    return {} if path is None else read_json(path, _config_object)
 
 
 def _opt(args, cfg: dict, name: str, default=None, required: bool = False):

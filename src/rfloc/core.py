@@ -12,6 +12,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _child_seed(*keys) -> int:
+    """One 32-bit seed derived from integer keys; equal keys, equal seed."""
+    return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
+
+
+def _child_rng(*keys) -> np.random.Generator:
+    """A generator seeded from integer keys, independent of any other keys."""
+    return np.random.default_rng(np.random.SeedSequence(list(keys)))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import Dataset, validate_dataset
+from .core import Dataset, _child_rng, _child_seed, validate_dataset
 from .regressors import CartRegressor, Model, fit_on_dataset
 
 STRATEGIES = (
@@ -27,6 +27,19 @@ STRATEGIES = (
     "extra-trees",
     "stacking",
 )
+
+# The tuning fields each strategy reads (seed is read by all). A spec that
+# moves any other tuning field off its default is rejected.
+_TUNING_FIELDS = ("n_estimators", "learning_rate", "max_depth", "max_bins", "n_folds")
+_TUNING_READ = {
+    "boosting-abr": ("n_estimators",),
+    "boosting-gbr": ("n_estimators", "learning_rate", "max_depth"),
+    "boosting-hgbr": ("n_estimators", "learning_rate", "max_depth", "max_bins"),
+    "bagging": ("n_estimators",),
+    "random-forest": ("n_estimators",),
+    "extra-trees": ("n_estimators",),
+    "stacking": ("n_folds",),
+}
 
 # Default stacking base list: the five single regressors plus the five
 # ensemble regressors from the boosting/bagging comparisons.
@@ -40,6 +53,7 @@ class EnsembleSpec:
     base and final hold model ids. boosting-abr and bagging take exactly one
     base, gbr, hgbr, random-forest and extra-trees take none, and stacking
     takes a final plus one or more bases (DEFAULT_STACK_BASES when empty).
+    A tuning field the strategy never reads must keep its default.
     """
 
     strategy: str
@@ -64,6 +78,11 @@ class EnsembleSpec:
             raise ValueError(f"max_bins must be in [2, 256], got {self.max_bins}")
         if self.n_folds < 2:
             raise ValueError(f"n_folds must be >= 2, got {self.n_folds}")
+        defaults = {f.name: f.default for f in fields(self)}
+        for name in _TUNING_FIELDS:
+            value = getattr(self, name)
+            if name not in _TUNING_READ[self.strategy] and value != defaults[name]:
+                raise ValueError(f"{self.strategy} does not use {name}, got {name}={value!r}")
         if self.strategy == "stacking":
             if self.final is None:
                 raise ValueError("stacking requires a final estimator id")
@@ -91,10 +110,6 @@ class EnsembleSpec:
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
-def _child_seed(*keys) -> int:
-    return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
-
-
 def weighted_median(predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-output weighted median across ensemble members.
 
@@ -118,15 +133,21 @@ def weighted_median(predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
 class _BuilderEnsemble(Model):
     """An ensemble whose members come from (train: Dataset, seed) builders.
 
-    Subclasses implement fit_dataset; fit wraps raw arrays in a Dataset with
-    placeholder frequencies 1..m.
+    Subclasses implement _fit_members(train); fit wraps raw arrays in a
+    Dataset with placeholder frequencies 1..m.
     """
 
     def fit(self, features, labels):
-        features = np.asarray(features, dtype=np.float64)
-        return self.fit_dataset(
-            validate_dataset(features, labels, np.arange(1, features.shape[1] + 1))
-        )
+        X, Y = self._fit_inputs(features, labels)
+        return self.fit_dataset(validate_dataset(X, Y, np.arange(1, X.shape[1] + 1)))
+
+    def fit_dataset(self, train: Dataset):
+        self._fit_inputs(train.features, train.labels)
+        self._fit_members(train)
+        return self._mark_fitted(train.m, train.labels.shape[1])
+
+    def _fit_members(self, train: Dataset) -> None:
+        raise NotImplementedError
 
 
 class AdaBoostR2(_BuilderEnsemble):
@@ -148,7 +169,7 @@ class AdaBoostR2(_BuilderEnsemble):
         self.n_estimators = n_estimators
         self.seed = seed
 
-    def fit_dataset(self, train: Dataset):
+    def _fit_members(self, train: Dataset):
         n = train.n
         w = np.full(n, 1.0 / n)
         self.members_ = []
@@ -156,9 +177,8 @@ class AdaBoostR2(_BuilderEnsemble):
         self.avg_losses_ = []
         self.weight_history = [w.copy()]
         for r in range(self.n_estimators):
-            rng = np.random.default_rng(np.random.SeedSequence([self.seed, r, 0]))
             w = w / w.sum()
-            idx = rng.choice(n, size=n, replace=True, p=w)
+            idx = _child_rng(self.seed, r, 0).choice(n, size=n, replace=True, p=w)
             try:
                 member = self.base_builder(train.subset(idx), _child_seed(self.seed, r, 1))
             except Exception as exc:
@@ -187,9 +207,6 @@ class AdaBoostR2(_BuilderEnsemble):
             w = w / w.sum()
             self.weight_history.append(w.copy())
         self.member_weights_ = np.array(self.member_weights_)
-        self.n_outputs = train.labels.shape[1]
-        self._fitted = True
-        return self
 
     def _predict(self, features):
         preds = np.stack([m.predict(features) for m in self.members_])
@@ -221,10 +238,7 @@ class GradientBoosting(Model):
         self.max_depth = max_depth
 
     def fit(self, features, labels):
-        X = np.asarray(features, dtype=np.float64)
-        Y = np.asarray(labels, dtype=np.float64)
-        if Y.ndim == 1:
-            Y = Y[:, None]
+        X, Y = self._fit_inputs(features, labels)
         d = Y.shape[1]
         self._base_value = Y.mean(axis=0)
         self._trees = [[] for _ in range(d)]
@@ -239,9 +253,7 @@ class GradientBoosting(Model):
             self.train_rmse_path.append(
                 float(np.sqrt(np.mean(np.sum((Y - F) ** 2, axis=1))))
             )
-        self.n_outputs = d
-        self._fitted = True
-        return self
+        return self._mark_fitted(X.shape[1], d)
 
     def _predict(self, features):
         out = np.tile(self._base_value, (features.shape[0], 1))
@@ -294,18 +306,16 @@ class HistGradientBoosting(Model):
         return codes
 
     def fit(self, features, labels):
-        X = np.asarray(features, dtype=np.float64)
+        X, Y = self._fit_inputs(features, labels)
         self._edges = [quantile_bin_edges(X[:, j], self.max_bins) for j in range(X.shape[1])]
         self._booster = GradientBoosting(
             n_estimators=self.n_estimators,
             learning_rate=self.learning_rate,
             max_depth=self.max_depth,
         )
-        self._booster.fit(self._bin(X), labels)
+        self._booster.fit(self._bin(X), Y)
         self.train_rmse_path = self._booster.train_rmse_path
-        self.n_outputs = self._booster.n_outputs
-        self._fitted = True
-        return self
+        return self._mark_fitted(X.shape[1], Y.shape[1])
 
     def _predict(self, features):
         return self._booster.predict(self._bin(features))
@@ -328,83 +338,50 @@ class BaggingEnsemble(_BuilderEnsemble):
         self.bootstrap = bootstrap
         self.seed = seed
 
-    def fit_dataset(self, train: Dataset):
+    def _fit_members(self, train: Dataset):
         n = train.n
         self.members_ = []
         self.member_indices_ = []
         for r in range(self.n_estimators):
-            if self.bootstrap:
-                rng = np.random.default_rng(np.random.SeedSequence([self.seed, r, 0]))
-                idx = rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
+            idx = _child_rng(self.seed, r, 0).integers(0, n, size=n) if self.bootstrap else np.arange(n)
             self.member_indices_.append(idx)
             try:
                 self.members_.append(self.base_builder(train.subset(idx), _child_seed(self.seed, r, 1)))
             except Exception as exc:
                 raise ValueError(f"base estimator failed for bagging member {r}: {exc}") from exc
-        self.n_outputs = train.labels.shape[1]
-        self._fitted = True
-        return self
 
     def _predict(self, features):
         preds = np.stack([m.predict(features) for m in self.members_])
         return preds.mean(axis=0)
 
 
-class _TreeForest(Model):
-    """Shared machinery for random forests and extremely randomized trees."""
-
-    def __init__(self, n_estimators, max_features, bootstrap, random_thresholds, seed):
-        super().__init__()
-        self.n_estimators = n_estimators
-        self.max_features = max_features
-        self.bootstrap = bootstrap
-        self.random_thresholds = random_thresholds
-        self.seed = seed
-
-    def fit(self, features, labels):
-        X = np.asarray(features, dtype=np.float64)
-        Y = np.asarray(labels, dtype=np.float64)
-        n = X.shape[0]
-        self.members_ = []
-        for r in range(self.n_estimators):
-            if self.bootstrap:
-                rng = np.random.default_rng(np.random.SeedSequence([self.seed, r, 0]))
-                idx = rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
-            tree = CartRegressor(
-                max_features=self.max_features,
-                random_thresholds=self.random_thresholds,
-                seed=_child_seed(self.seed, r, 1),
-            )
-            tree.fit(X[idx], Y[idx])
-            self.members_.append(tree)
-        self.n_outputs = Y.shape[1] if Y.ndim > 1 else 1
-        self._fitted = True
-        return self
-
-    def _predict(self, features):
-        preds = np.stack([m.predict(features) for m in self.members_])
-        return preds.mean(axis=0)
+def _cart_builder(max_features, random_thresholds):
+    """Builder of one randomised CART member, seeded by its bagging seed."""
+    return lambda train, seed: CartRegressor(
+        max_features=max_features, random_thresholds=random_thresholds, seed=seed
+    ).fit(train.features, train.labels)
 
 
-class RandomForest(_TreeForest):
+class RandomForest(BaggingEnsemble):
+    """Bagging of CART trees that draw max_features split candidates at every
+    node (Breiman, 2001)."""
+
     kind = "rfr"
 
     def __init__(self, n_estimators=100, max_features=None, bootstrap=True, seed=0):
-        super().__init__(n_estimators, max_features, bootstrap, False, seed)
+        super().__init__(_cart_builder(max_features, False), n_estimators, bootstrap, seed)
+        self.max_features = max_features
 
 
-class ExtraTrees(_TreeForest):
+class ExtraTrees(BaggingEnsemble):
     """Forest of trees with one uniform-random threshold per candidate
-    feature, grown on the full sample (no bootstrap)."""
+    feature, grown on the full sample (no bootstrap; Geurts et al., 2006)."""
 
     kind = "ert"
 
     def __init__(self, n_estimators=100, max_features=None, seed=0):
-        super().__init__(n_estimators, max_features, False, True, seed)
+        super().__init__(_cart_builder(max_features, True), n_estimators, False, seed)
+        self.max_features = max_features
 
 
 class StackingEnsemble(_BuilderEnsemble):
@@ -430,12 +407,10 @@ class StackingEnsemble(_BuilderEnsemble):
         self.n_folds = n_folds
         self.seed = seed
 
-    def fit_dataset(self, train: Dataset):
-        plan = build_stacking_plan(
-            train, self.base_builders, n_folds=self.n_folds, seed=self.seed
+    def _fit_members(self, train: Dataset):
+        self._attach_plan(
+            train, build_stacking_plan(train, self.base_builders, n_folds=self.n_folds, seed=self.seed)
         )
-        self._attach_plan(train, plan)
-        return self
 
     def _attach_plan(self, train: Dataset, plan: "StackingPlan"):
         self.fold_plan = plan.fold_plan
@@ -452,9 +427,6 @@ class StackingEnsemble(_BuilderEnsemble):
             )
         except Exception as exc:
             raise ValueError(f"final estimator failed on meta-features: {exc}") from exc
-        self.n_outputs = train.labels.shape[1]
-        self._fitted = True
-        return self
 
     def _predict(self, features):
         meta = np.hstack([m.predict(features) for m in self.full_bases_])
@@ -478,8 +450,7 @@ def build_stacking_plan(train: Dataset, base_builders, n_folds: int = 5, seed: i
     n = train.n
     if n < n_folds:
         raise ValueError(f"cannot split {n} rows into {n_folds} non-empty folds")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    folds = np.array_split(rng.permutation(n), n_folds)
+    folds = np.array_split(_child_rng(seed, 0).permutation(n), n_folds)
 
     n_out = train.labels.shape[1]
     meta = np.empty((n, n_out * len(base_builders)))
@@ -525,6 +496,7 @@ def stacking_fit_from_plan(
     """
     model = StackingEnsemble(plan.base_builders, final_builder, n_folds=n_folds, seed=seed)
     model._attach_plan(train, plan)
+    model._mark_fitted(train.m, train.labels.shape[1])
     model.fit_time_s = plan.build_time_s + getattr(model.final_, "fit_time_s", 0.0)
     model.frequencies_mhz = train.frequencies_mhz
     return model

@@ -100,6 +100,26 @@ def append_dataset_csv(dataset: Dataset, path: str) -> None:
 # JSON configs
 
 
+def read_json(path: str, from_payload):
+    """Parse a JSON file and convert it with from_payload; every ValueError
+    names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    try:
+        return from_payload(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _write_json(payload, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def _need(d: dict, key: str, where: str):
     if key not in d:
         raise ValueError(f"missing key {where}.{key}")
@@ -197,21 +217,11 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 
 def read_scenario_json(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    try:
-        return scenario_from_dict(payload)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_json(path, scenario_from_dict)
 
 
 def write_scenario_json(scenario: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")
+    _write_json(scenario_to_dict(scenario), path)
 
 
 def sensor_config_to_dict(c: SensorConfig) -> dict:
@@ -240,52 +250,43 @@ def sensor_config_from_dict(d: dict) -> SensorConfig:
 
 
 def read_sensor_config_json(path: str) -> SensorConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    try:
-        return sensor_config_from_dict(payload)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_json(path, sensor_config_from_dict)
 
 
 def write_sensor_config_json(config: SensorConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(sensor_config_to_dict(config), fh, indent=2)
-        fh.write("\n")
+    _write_json(sensor_config_to_dict(config), path)
 
 
 # ---------------------------------------------------------------------------
 # report CSVs
 
 
-def write_benchmark_csv(reports, path: str) -> None:
-    lines = ["model,rmse_m,r2,ce95_m,fit_time_s"]
-    for r in reports:
-        lines.append(
-            ",".join([r.model_id, _fmt(r.rmse_m), _fmt(r.r2), _fmt(r.ce95_m), _fmt(r.fit_time_s)])
-        )
+def _write_csv(path: str, header: str, rows) -> None:
+    """The header and each row as one newline-terminated line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header, *rows]) + "\n")
+
+
+def write_benchmark_csv(reports, path: str) -> None:
+    _write_csv(
+        path,
+        "model,rmse_m,r2,ce95_m,fit_time_s",
+        (",".join([r.model_id, *map(_fmt, (r.rmse_m, r.r2, r.ce95_m, r.fit_time_s))]) for r in reports),
+    )
 
 
 def write_importance_csv(report, path: str) -> None:
-    lines = ["frequency_mhz,score_m"]
-    for f, s in zip(report.frequencies_mhz, report.scores_m):
-        lines.append(f"{_fmt(f)},{_fmt(s)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(
+        path,
+        "frequency_mhz,score_m",
+        (f"{_fmt(f)},{_fmt(s)}" for f, s in zip(report.frequencies_mhz, report.scores_m)),
+    )
 
 
 def write_pca_csv(scores: np.ndarray, labels: np.ndarray, path: str) -> None:
-    r = scores.shape[1]
-    lines = [",".join([f"pc{j + 1}" for j in range(r)] + ["x", "y", "z"])]
-    for i in range(scores.shape[0]):
-        lines.append(",".join([_fmt(v) for v in scores[i]] + [_fmt(v) for v in labels[i]]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ",".join([f"pc{j + 1}" for j in range(scores.shape[1])] + ["x", "y", "z"])
+    rows = np.hstack([scores, labels])
+    _write_csv(path, header, (",".join(map(repr, row.tolist())) for row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ from __future__ import annotations
 import dataclasses
 import zlib
 
-from .core import Dataset
+from .core import Dataset, _child_seed
 from .ensemble import (
     DEFAULT_STACK_BASES,
     EnsembleSpec,
-    _child_seed,
     adaboost_r2_fit,
     bagging_fit,
     build_stacking_plan,
@@ -172,15 +171,17 @@ def expand_model_ids(tokens) -> list[str]:
 
 
 def _fit_stacking_spec(spec: EnsembleSpec, train: Dataset, eff_seed: int, plan_cache):
-    # The out-of-fold plan depends only on (bases, folds, plan seed), so
-    # different final estimators over the same bases share one plan.
+    # The out-of-fold plan depends only on (training set, bases, folds, plan
+    # seed), so different final estimators over the same bases share one
+    # plan. The entry keeps the training set alive, so its id is not reused.
     plan_seed = _child_seed(_crc("plan:" + ",".join(spec.base)), spec.n_folds, spec.seed)
-    key = (spec.base, spec.n_folds, plan_seed)
+    key = (id(train), spec.base, spec.n_folds, plan_seed)
     if key not in plan_cache:
         base_builders = [builder_for(b) for b in spec.base]
-        plan_cache[key] = build_stacking_plan(train, base_builders, n_folds=spec.n_folds, seed=plan_seed)
+        plan = build_stacking_plan(train, base_builders, n_folds=spec.n_folds, seed=plan_seed)
+        plan_cache[key] = (train, plan)
     return stacking_fit_from_plan(
-        train, plan_cache[key], builder_for(spec.final), n_folds=spec.n_folds, seed=eff_seed
+        train, plan_cache[key][1], builder_for(spec.final), n_folds=spec.n_folds, seed=eff_seed
     )
 
 

@@ -23,15 +23,20 @@ class NotFittedError(RuntimeError):
 
 
 class Model:
-    """Base fit/predict contract shared by all estimators and ensembles."""
+    """Base fit/predict contract shared by all estimators and ensembles.
+
+    A fit converts and checks its inputs with _fit_inputs and ends with
+    _mark_fitted; a model is fitted once n_features is set. predict accepts
+    only non-empty 2-D queries of the fitted width.
+    """
 
     kind = "model"
 
     def __init__(self):
         self.fit_time_s = 0.0
         self.frequencies_mhz = None  # set when fit from a Dataset
-        self.n_outputs = 3
-        self._fitted = False
+        self.n_features = None
+        self.n_outputs = None
 
     def fit(self, features, labels):
         raise NotImplementedError
@@ -40,14 +45,42 @@ class Model:
         """Fit on a Dataset; ensembles whose members need Dataset rows override this."""
         return self.fit(train.features, train.labels)
 
+    def _fit_inputs(self, features, labels) -> tuple[np.ndarray, np.ndarray]:
+        """Training arrays as float64, a 1-D label as one column; raises
+        ValueError naming the class on a bad shape or an empty set."""
+        X = np.asarray(features, dtype=np.float64)
+        Y = np.asarray(labels, dtype=np.float64)
+        if Y.ndim == 1:
+            Y = Y[:, None]
+        name = type(self).__name__
+        if X.ndim != 2 or Y.ndim != 2:
+            raise ValueError(
+                f"{name}: features and labels must be 2-D, got shapes {X.shape} and {Y.shape}"
+            )
+        if X.shape[0] != Y.shape[0]:
+            raise ValueError(f"{name}: {X.shape[0]} feature rows vs {Y.shape[0]} label rows")
+        if X.shape[0] == 0:
+            raise ValueError(f"cannot fit {name} on an empty training set")
+        return X, Y
+
+    def _mark_fitted(self, n_features: int, n_outputs: int):
+        self.n_features = n_features
+        self.n_outputs = n_outputs
+        return self
+
     def predict(self, features) -> np.ndarray:
-        if not self._fitted:
+        if self.n_features is None:
             raise NotFittedError(f"{type(self).__name__} is not fitted")
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(f"query features must be 2-D, got ndim={features.ndim}")
         if features.shape[0] == 0:
             raise ValueError("empty query")
+        if features.shape[1] != self.n_features:
+            raise ValueError(
+                f"{type(self).__name__} was fit on {self.n_features} features, "
+                f"got a query with {features.shape[1]}"
+            )
         return self._predict(features)
 
     def _predict(self, features) -> np.ndarray:
@@ -83,15 +116,12 @@ class KnnRegressor(Model):
         self.weighting = weighting
 
     def fit(self, features, labels):
-        X = np.asarray(features, dtype=np.float64)
-        Y = np.asarray(labels, dtype=np.float64)
+        X, Y = self._fit_inputs(features, labels)
         if self.k > X.shape[0]:
             raise ValueError(f"k={self.k} exceeds training size n={X.shape[0]}")
         self._X = X
         self._Y = Y
-        self.n_outputs = Y.shape[1]
-        self._fitted = True
-        return self
+        return self._mark_fitted(X.shape[1], Y.shape[1])
 
     def _predict(self, features):
         d = cdist(features, self._X)
@@ -154,16 +184,10 @@ class CartRegressor(Model):
         self.split_log: list[SplitRecord] = []
 
     def fit(self, features, labels):
-        X = np.asarray(features, dtype=np.float64)
-        Y = np.asarray(labels, dtype=np.float64)
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit a tree on an empty training set")
-        if Y.ndim == 1:
-            Y = Y[:, None]
+        X, Y = self._fit_inputs(features, labels)
         m = X.shape[1]
         if self.max_features is not None and not 1 <= self.max_features <= m:
             raise ValueError(f"max_features must be in [1, {m}], got {self.max_features}")
-        self.n_outputs = Y.shape[1]
         self.split_log = []
         self._feature = []
         self._threshold = []
@@ -215,8 +239,7 @@ class CartRegressor(Model):
         self._left = np.array(self._left, dtype=np.intp)
         self._right = np.array(self._right, dtype=np.intp)
         self._value = np.array(self._value)
-        self._fitted = True
-        return self
+        return self._mark_fitted(m, Y.shape[1])
 
     def _new_node(self):
         self._feature.append(-1)
@@ -361,10 +384,7 @@ class GprRegressor(Model):
         return self.signal_variance * np.exp(-sq / (2.0 * self.length_scale**2))
 
     def fit(self, features, labels):
-        X = np.asarray(features, dtype=np.float64)
-        Y = np.asarray(labels, dtype=np.float64)
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit GPR on an empty training set")
+        X, Y = self._fit_inputs(features, labels)
         K = self._kernel(X, X)
         jitter = self.noise_jitter
         L = None
@@ -382,10 +402,8 @@ class GprRegressor(Model):
         z = solve_triangular(L, Y - self._y_mean, lower=True)
         self._alpha = solve_triangular(L.T, z, lower=False)
         self._X = X
-        self.n_outputs = Y.shape[1]
         self.effective_jitter = jitter
-        self._fitted = True
-        return self
+        return self._mark_fitted(X.shape[1], Y.shape[1])
 
     def _predict(self, features):
         Kq = self._kernel(features, self._X)
@@ -421,11 +439,8 @@ class LinearSvr(Model):
         self.learning_rate = learning_rate
 
     def fit(self, features, labels):
-        X = np.asarray(features, dtype=np.float64)
-        Y = np.asarray(labels, dtype=np.float64)
+        X, Y = self._fit_inputs(features, labels)
         n, m = X.shape
-        if n == 0:
-            raise ValueError("cannot fit SVR on an empty training set")
         self._x_mean = X.mean(axis=0)
         sd = X.std(axis=0)
         self._x_std = np.where(sd == 0.0, 1.0, sd)
@@ -456,9 +471,7 @@ class LinearSvr(Model):
             b[d] = bd
         self._W = W
         self._b = b
-        self.n_outputs = Y.shape[1]
-        self._fitted = True
-        return self
+        return self._mark_fitted(m, Y.shape[1])
 
     def _predict(self, features):
         Xs = (features - self._x_mean) / self._x_std
@@ -525,16 +538,11 @@ class MlpRegressor(Model):
         model.b2 = np.asarray(b2, dtype=np.float64)
         model._x_mean = np.zeros(W1.shape[0]) if x_mean is None else np.asarray(x_mean)
         model._x_std = np.ones(W1.shape[0]) if x_std is None else np.asarray(x_std)
-        model.n_outputs = model.W2.shape[1]
-        model._fitted = True
-        return model
+        return model._mark_fitted(model.W1.shape[0], model.W2.shape[1])
 
     def fit(self, features, labels):
-        X = np.asarray(features, dtype=np.float64)
-        Y = np.asarray(labels, dtype=np.float64)
-        n, m = X.shape
-        if n == 0:
-            raise ValueError("cannot fit MLP on an empty training set")
+        X, Y = self._fit_inputs(features, labels)
+        m = X.shape[1]
         self._x_mean = X.mean(axis=0)
         sd = X.std(axis=0)
         self._x_std = np.where(sd == 0.0, 1.0, sd)
@@ -561,9 +569,7 @@ class MlpRegressor(Model):
             W2 -= lr * gW2
             b2 -= lr * gb2
         self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
-        self.n_outputs = Y.shape[1]
-        self._fitted = True
-        return self
+        return self._mark_fitted(m, Y.shape[1])
 
     def _predict(self, features):
         Xs = (features - self._x_mean) / self._x_std

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Position, SensorConfig, grid_positions, validate_dataset
+from .core import Dataset, Position, SensorConfig, _child_rng, grid_positions, validate_dataset
 
 D0_M = 1.0  # reference distance for the path-loss law
 
@@ -211,7 +211,7 @@ def generate_dataset(scenario: Scenario, config: SensorConfig, positions) -> Dat
     features = np.empty((len(positions) * s, m))
     labels = np.empty((len(positions) * s, 3))
     for i, p in enumerate(positions):
-        rng = np.random.default_rng(np.random.SeedSequence([scenario.rng_seed, i]))
+        rng = _child_rng(scenario.rng_seed, i)
         noise = rng.normal(0.0, scenario.noise_sigma_db, size=(s, m))
         if scenario.noise_burst_prob > 0.0:
             burst = rng.random(s) < scenario.noise_burst_prob
@@ -326,7 +326,7 @@ def make_reference_scenario(seed: int) -> tuple[Scenario, SensorConfig, list[Pos
     distinguishable at the configured noise level. With 100 samples at each
     of the 60 grid positions this yields a 6000 x 5 dataset.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([721, seed]))
+    rng = _child_rng(721, seed)
     positions = reference_grid_positions()
     best = None
     best_gap = -1.0
@@ -369,7 +369,7 @@ def make_fullband_scenario(
     """
     if n_frequencies < 10:
         raise ValueError(f"n_frequencies must be >= 10, got {n_frequencies}")
-    rng = np.random.default_rng(np.random.SeedSequence([904, seed]))
+    rng = _child_rng(904, seed)
     length, width, height = REFERENCE_ROOM_DIMS
 
     band = np.linspace(FULLBAND_LOW_MHZ, FULLBAND_HIGH_MHZ, n_frequencies)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rfloc.core import validate_dataset
+from rfloc.core import _child_seed, validate_dataset
 from rfloc.ensemble import (
     AdaBoostR2,
     BaggingEnsemble,
@@ -26,7 +26,7 @@ from rfloc.ensemble import (
     stacking_fit_from_plan,
     weighted_median,
 )
-from rfloc.regressors import cart_fit, fit_on_dataset, knn_fit
+from rfloc.regressors import CartRegressor, cart_fit, fit_on_dataset, knn_fit
 
 from conftest import toy_dataset
 
@@ -253,6 +253,8 @@ class TestArrayFit:
             lambda: AdaBoostR2(tree, n_estimators=3, seed=1),
             lambda: BaggingEnsemble(tree, n_estimators=3, seed=1),
             lambda: StackingEnsemble([tree, tree], tree, seed=1),
+            lambda: RandomForest(n_estimators=3, max_features=2, seed=1),
+            lambda: ExtraTrees(n_estimators=3, seed=1),
         )
         for make in makers:
             on_arrays = make().fit(X, Y)
@@ -300,6 +302,24 @@ class TestForests:
     def test_kinds(self):
         assert RandomForest().kind == "rfr"
         assert ExtraTrees().kind == "ert"
+
+    def test_forests_bag_seeded_cart_trees(self):
+        ds = toy_dataset(n=40, m=4, seed=9)
+        for forest, random_thresholds in (
+            (random_forest_fit(ds, n_estimators=3, max_features=2, seed=5), False),
+            (extra_trees_fit(ds, n_estimators=3, max_features=2, seed=5), True),
+        ):
+            assert isinstance(forest, BaggingEnsemble)
+            assert all(type(t) is CartRegressor for t in forest.members_)
+            for r, (tree, idx) in enumerate(zip(forest.members_, forest.member_indices_)):
+                alone = CartRegressor(
+                    max_features=2, random_thresholds=random_thresholds, seed=_child_seed(5, r, 1)
+                ).fit(ds.features[idx], ds.labels[idx])
+                assert np.array_equal(tree.predict(ds.features), alone.predict(ds.features))
+
+    def test_member_errors_name_the_member(self):
+        with pytest.raises(ValueError, match=r"bagging member 0: max_features must be in \[1, 2\]"):
+            random_forest_fit(toy_dataset(n=10, m=2), n_estimators=2, max_features=3)
 
 
 class TestStacking:

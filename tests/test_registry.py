@@ -106,6 +106,27 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError, match="final"):
             EnsembleSpec(strategy="stacking")
 
+    def test_fields_the_strategy_never_reads_are_rejected(self):
+        cases = [
+            ("random-forest", {"max_depth": 1}, "max_depth=1"),
+            ("random-forest", {"learning_rate": 0.5}, "learning_rate=0.5"),
+            ("extra-trees", {"max_bins": 4}, "max_bins=4"),
+            ("boosting-gbr", {"max_bins": 4}, "max_bins=4"),
+            ("boosting-abr", {"base": ("dtr",), "max_depth": None}, "max_depth=None"),
+            ("bagging", {"base": ("dtr",), "n_folds": 3}, "n_folds=3"),
+            ("stacking", {"final": "knr", "n_estimators": 7}, "n_estimators=7"),
+        ]
+        for strategy, kwargs, named in cases:
+            field = named.split("=")[0]
+            with pytest.raises(ValueError, match=re.escape(f"{strategy} does not use {field}, got {named}")):
+                EnsembleSpec(strategy=strategy, **kwargs)
+        with pytest.raises(ValueError, match="random-forest does not use"):
+            EnsembleSpec("random-forest", max_depth=1, learning_rate=0.5, max_bins=4, n_folds=3)
+        # the fields a strategy reads stay free
+        EnsembleSpec("boosting-hgbr", n_estimators=5, learning_rate=0.5, max_depth=None, max_bins=4)
+        EnsembleSpec("stacking", final="knr", n_folds=3, seed=2)
+        EnsembleSpec("bagging", base=("dtr",), n_estimators=3, seed=2)
+
 
 class TestFitModel:
     def test_string_id_round(self):
@@ -142,6 +163,15 @@ class TestFitModel:
         assert len(cache) == 1  # same bases and folds reuse one out-of-fold plan
         assert np.array_equal(a.meta_features_, b.meta_features_)
         assert a.final_ is not b.final_
+
+    def test_plan_cache_is_keyed_on_the_training_set(self):
+        small, large = toy_dataset(n=30, m=3, seed=5), toy_dataset(n=40, m=3, seed=5)
+        cache = {}
+        fit_model("stacking-knr[knr+dtr]", small, seed=0, plan_cache=cache)
+        model = fit_model("stacking-knr[knr+dtr]", large, seed=0, plan_cache=cache)
+        assert model.meta_features_.shape == (40, 6)
+        fresh = fit_model("stacking-knr[knr+dtr]", large, seed=0)
+        assert np.array_equal(model.predict(large.features), fresh.predict(large.features))
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):

@@ -3,6 +3,16 @@
 import numpy as np
 import pytest
 
+from rfloc.core import validate_dataset
+from rfloc.ensemble import (
+    AdaBoostR2,
+    BaggingEnsemble,
+    ExtraTrees,
+    GradientBoosting,
+    HistGradientBoosting,
+    RandomForest,
+    StackingEnsemble,
+)
 from rfloc.regressors import (
     CartRegressor,
     GprRegressor,
@@ -12,11 +22,30 @@ from rfloc.regressors import (
     Model,
     NotFittedError,
     cart_fit,
+    fit_on_dataset,
     knn_fit,
     mlp_loss_and_grads,
 )
 
 from conftest import toy_dataset
+
+_tree = lambda sub, seed: cart_fit(sub, max_depth=2)
+
+# one small, unfitted instance of every base and ensemble class
+MAKERS = {
+    "knr": lambda: KnnRegressor(k=1),
+    "dtr": lambda: CartRegressor(),
+    "gpr": lambda: GprRegressor(),
+    "svr": lambda: LinearSvr(epochs=2),
+    "mlp": lambda: MlpRegressor(hidden_units=4, epochs=2),
+    "abr": lambda: AdaBoostR2(_tree, n_estimators=2),
+    "gbr": lambda: GradientBoosting(n_estimators=2),
+    "hgbr": lambda: HistGradientBoosting(n_estimators=2),
+    "bagging": lambda: BaggingEnsemble(_tree, n_estimators=2),
+    "rfr": lambda: RandomForest(n_estimators=2),
+    "ert": lambda: ExtraTrees(n_estimators=2),
+    "stacking": lambda: StackingEnsemble([_tree], _tree, n_folds=2),
+}
 
 
 class TestModelContract:
@@ -24,6 +53,41 @@ class TestModelContract:
         for cls in (KnnRegressor, CartRegressor, GprRegressor, LinearSvr, MlpRegressor):
             with pytest.raises(NotFittedError, match="not fitted"):
                 cls().predict(np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_every_class_raises_before_fit(self, name):
+        model = MAKERS[name]()
+        assert model.n_features is None
+        with pytest.raises(NotFittedError, match=f"{type(model).__name__} is not fitted"):
+            model.predict(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_every_class_rejects_bad_training_sets(self, name):
+        make = MAKERS[name]
+        empty = validate_dataset(np.zeros((0, 3)), np.zeros((0, 3)), (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match=f"cannot fit {type(make()).__name__} on an empty"):
+            make().fit(empty.features, empty.labels)
+        with pytest.raises(ValueError, match="empty training set"):
+            fit_on_dataset(make(), empty)
+        with pytest.raises(ValueError, match="12 feature rows vs 11 label rows"):
+            make().fit(np.zeros((12, 3)), np.zeros((11, 3)))
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_every_class_rejects_a_query_of_another_width(self, name):
+        ds = toy_dataset(n=12, m=3, seed=2)
+        fitted = fit_on_dataset(MAKERS[name](), ds)
+        assert fitted.predict(ds.features[:2]).shape == (2, 3)
+        with pytest.raises(ValueError, match="fit on 3 features, got a query with 4"):
+            fitted.predict(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="fit on 3 features, got a query with 2"):
+            fitted.predict(np.zeros((2, 2)))
+        assert (fitted.n_features, fitted.n_outputs) == (3, 3)
+
+    def test_one_dimensional_labels_become_one_column(self):
+        X = np.arange(6.0)[:, None]
+        for cls in (KnnRegressor, CartRegressor, GprRegressor, LinearSvr, MlpRegressor):
+            model = cls(k=1) if cls is KnnRegressor else cls()
+            assert model.fit(X, X[:, 0] * 2.0).predict(X[:2]).shape == (2, 1), cls.__name__
 
     def test_predict_rejects_bad_query(self):
         m = KnnRegressor(k=1).fit(np.zeros((2, 2)), np.zeros((2, 3)))
