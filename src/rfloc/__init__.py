@@ -25,13 +25,7 @@ from .ensemble import (
     HistGradientBoosting,
     RandomForest,
     StackingEnsemble,
-    adaboost_r2_fit,
-    bagging_fit,
-    extra_trees_fit,
     gradient_boost_fit,
-    hist_gradient_boost_fit,
-    random_forest_fit,
-    stacking_fit,
 )
 from .evaluate import EvalReport, benchmark, ce95, evaluate_model, r2, rmse
 from .pca import PcaModel, pca_fit, pca_transform
@@ -44,10 +38,10 @@ from .regressors import (
     Model,
     NotFittedError,
     cart_fit,
+    fit_on_dataset,
     gpr_fit,
     knn_fit,
     mlp_fit,
-    predict,
     svr_fit,
 )
 from .registry import DEFAULT_STACK_BASES, builder_for, expand_model_ids, fit_model
@@ -91,8 +85,6 @@ __all__ = [
     "SoopSource",
     "SplitDataset",
     "StackingEnsemble",
-    "adaboost_r2_fit",
-    "bagging_fit",
     "benchmark",
     "builder_for",
     "cart_fit",
@@ -100,13 +92,12 @@ __all__ = [
     "dddas_cycle",
     "evaluate_model",
     "expand_model_ids",
-    "extra_trees_fit",
     "fit_model",
+    "fit_on_dataset",
     "generate_dataset",
     "gpr_fit",
     "gradient_boost_fit",
     "grid_positions",
-    "hist_gradient_boost_fit",
     "knn_fit",
     "make_fullband_scenario",
     "make_reference_scenario",
@@ -114,14 +105,11 @@ __all__ = [
     "pca_fit",
     "pca_transform",
     "permutation_importance",
-    "predict",
     "r2",
-    "random_forest_fit",
     "received_power",
     "reference_grid_positions",
     "rmse",
     "select_rated_band",
-    "stacking_fit",
     "svr_fit",
     "train_test_split",
     "validate_dataset",

@@ -101,6 +101,10 @@ class EnsembleSpec:
         elif self.base:
             raise ValueError(f"{self.strategy} takes no base estimator ids, got base={self.base!r}")
 
+    def tuning(self) -> dict:
+        """The tuning fields this spec's strategy reads, by name."""
+        return {name: getattr(self, name) for name in _TUNING_READ[self.strategy]}
+
     def to_dict(self) -> dict:
         return {**asdict(self), "base": list(self.base)}
 
@@ -128,6 +132,14 @@ def weighted_median(predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
         sel = np.argmax(cdf >= 0.5 * total, axis=1)
         out[:, j] = P[row, idx[row, sel]]
     return out
+
+
+def _build(builder, train: Dataset, seed: int, where: str) -> Model:
+    """builder(train, seed), re-raising any failure as ValueError prefixed with where."""
+    try:
+        return builder(train, seed)
+    except Exception as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 class _BuilderEnsemble(Model):
@@ -179,10 +191,8 @@ class AdaBoostR2(_BuilderEnsemble):
         for r in range(self.n_estimators):
             w = w / w.sum()
             idx = _child_rng(self.seed, r, 0).choice(n, size=n, replace=True, p=w)
-            try:
-                member = self.base_builder(train.subset(idx), _child_seed(self.seed, r, 1))
-            except Exception as exc:
-                raise ValueError(f"base estimator failed in boosting round {r}: {exc}") from exc
+            member = _build(self.base_builder, train.subset(idx), _child_seed(self.seed, r, 1),
+                            f"base estimator failed in boosting round {r}")
             pred = member.predict(train.features)
             err = np.linalg.norm(pred - train.labels, axis=1)
             err_max = err.max()
@@ -273,7 +283,7 @@ def quantile_bin_edges(col: np.ndarray, max_bins: int) -> np.ndarray:
     return np.unique(qs)
 
 
-class HistGradientBoosting(Model):
+class HistGradientBoosting(GradientBoosting):
     """Gradient boosting on quantile-binned features.
 
     Features are mapped to integer bin codes (edges from training quantiles,
@@ -291,12 +301,9 @@ class HistGradientBoosting(Model):
         max_depth: int | None = 3,
         max_bins: int = 256,
     ):
-        super().__init__()
         if not 2 <= max_bins <= 256:
             raise ValueError(f"max_bins must be in [2, 256], got {max_bins}")
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
+        super().__init__(n_estimators, learning_rate, max_depth)
         self.max_bins = max_bins
 
     def _bin(self, X):
@@ -308,17 +315,10 @@ class HistGradientBoosting(Model):
     def fit(self, features, labels):
         X, Y = self._fit_inputs(features, labels)
         self._edges = [quantile_bin_edges(X[:, j], self.max_bins) for j in range(X.shape[1])]
-        self._booster = GradientBoosting(
-            n_estimators=self.n_estimators,
-            learning_rate=self.learning_rate,
-            max_depth=self.max_depth,
-        )
-        self._booster.fit(self._bin(X), Y)
-        self.train_rmse_path = self._booster.train_rmse_path
-        return self._mark_fitted(X.shape[1], Y.shape[1])
+        return super().fit(self._bin(X), Y)
 
     def _predict(self, features):
-        return self._booster.predict(self._bin(features))
+        return super()._predict(self._bin(features))
 
     @property
     def bin_counts(self) -> list[int]:
@@ -345,10 +345,9 @@ class BaggingEnsemble(_BuilderEnsemble):
         for r in range(self.n_estimators):
             idx = _child_rng(self.seed, r, 0).integers(0, n, size=n) if self.bootstrap else np.arange(n)
             self.member_indices_.append(idx)
-            try:
-                self.members_.append(self.base_builder(train.subset(idx), _child_seed(self.seed, r, 1)))
-            except Exception as exc:
-                raise ValueError(f"base estimator failed for bagging member {r}: {exc}") from exc
+            member = _build(self.base_builder, train.subset(idx), _child_seed(self.seed, r, 1),
+                            f"base estimator failed for bagging member {r}")
+            self.members_.append(member)
 
     def _predict(self, features):
         preds = np.stack([m.predict(features) for m in self.members_])
@@ -416,17 +415,10 @@ class StackingEnsemble(_BuilderEnsemble):
         self.fold_plan = plan.fold_plan
         self.meta_features_ = plan.meta_features
         self.full_bases_ = plan.full_bases
-        try:
-            self.final_ = self.final_builder(
-                Dataset(
-                    features=plan.meta_features,
-                    labels=train.labels,
-                    frequencies_mhz=tuple(range(1, plan.meta_features.shape[1] + 1)),
-                ),
-                _child_seed(self.seed, 2**31),
-            )
-        except Exception as exc:
-            raise ValueError(f"final estimator failed on meta-features: {exc}") from exc
+        width = plan.meta_features.shape[1]
+        meta = Dataset(plan.meta_features, train.labels, tuple(range(1, width + 1)))
+        self.final_ = _build(self.final_builder, meta, _child_seed(self.seed, 2**31),
+                             "final estimator failed on meta-features")
 
     def _predict(self, features):
         meta = np.hstack([m.predict(features) for m in self.full_bases_])
@@ -460,23 +452,17 @@ def build_stacking_plan(train: Dataset, base_builders, n_folds: int = 5, seed: i
         fold_plan.append((keep.copy(), hold.copy()))
         sub = train.subset(keep)
         for b_idx, builder in enumerate(base_builders):
-            try:
-                member = builder(sub, _child_seed(seed, f_idx, b_idx))
-            except Exception as exc:
-                raise ValueError(
-                    f"base estimator {b_idx} failed on fold {f_idx} "
-                    f"(fold-train size {keep.size}): {exc}"
-                ) from exc
+            where = f"base estimator {b_idx} failed on fold {f_idx} (fold-train size {keep.size})"
+            member = _build(builder, sub, _child_seed(seed, f_idx, b_idx), where)
             meta[hold, b_idx * n_out : (b_idx + 1) * n_out] = member.predict(
                 train.features[hold]
             )
 
-    full_bases = []
-    for b_idx, builder in enumerate(base_builders):
-        try:
-            full_bases.append(builder(train, _child_seed(seed, n_folds, b_idx)))
-        except Exception as exc:
-            raise ValueError(f"base estimator {b_idx} failed on the full training set: {exc}") from exc
+    full_bases = [
+        _build(builder, train, _child_seed(seed, n_folds, b_idx),
+               f"base estimator {b_idx} failed on the full training set")
+        for b_idx, builder in enumerate(base_builders)
+    ]
     return StackingPlan(
         meta_features=meta,
         full_bases=full_bases,
@@ -502,10 +488,6 @@ def stacking_fit_from_plan(
     return model
 
 
-def adaboost_r2_fit(train: Dataset, base_builder, n_estimators: int = 50, seed: int = 0) -> AdaBoostR2:
-    return fit_on_dataset(AdaBoostR2(base_builder, n_estimators=n_estimators, seed=seed), train)
-
-
 def gradient_boost_fit(
     train: Dataset,
     n_estimators: int = 100,
@@ -515,62 +497,4 @@ def gradient_boost_fit(
     return fit_on_dataset(
         GradientBoosting(n_estimators=n_estimators, learning_rate=learning_rate, max_depth=max_depth),
         train,
-    )
-
-
-def hist_gradient_boost_fit(
-    train: Dataset,
-    n_estimators: int = 100,
-    learning_rate: float = 0.1,
-    max_depth: int | None = 3,
-    max_bins: int = 256,
-) -> HistGradientBoosting:
-    return fit_on_dataset(
-        HistGradientBoosting(
-            n_estimators=n_estimators,
-            learning_rate=learning_rate,
-            max_depth=max_depth,
-            max_bins=max_bins,
-        ),
-        train,
-    )
-
-
-def bagging_fit(
-    train: Dataset, base_builder, n_estimators: int = 100, bootstrap: bool = True, seed: int = 0
-) -> BaggingEnsemble:
-    return fit_on_dataset(
-        BaggingEnsemble(base_builder, n_estimators=n_estimators, bootstrap=bootstrap, seed=seed),
-        train,
-    )
-
-
-def random_forest_fit(
-    train: Dataset,
-    n_estimators: int = 100,
-    max_features: int | None = None,
-    bootstrap: bool = True,
-    seed: int = 0,
-) -> RandomForest:
-    return fit_on_dataset(
-        RandomForest(
-            n_estimators=n_estimators, max_features=max_features, bootstrap=bootstrap, seed=seed
-        ),
-        train,
-    )
-
-
-def extra_trees_fit(
-    train: Dataset, n_estimators: int = 100, max_features: int | None = None, seed: int = 0
-) -> ExtraTrees:
-    return fit_on_dataset(
-        ExtraTrees(n_estimators=n_estimators, max_features=max_features, seed=seed), train
-    )
-
-
-def stacking_fit(
-    train: Dataset, base_builders, final_builder, n_folds: int = 5, seed: int = 0
-) -> StackingEnsemble:
-    return fit_on_dataset(
-        StackingEnsemble(base_builders, final_builder, n_folds=n_folds, seed=seed), train
     )

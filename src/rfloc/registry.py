@@ -20,17 +20,17 @@ import zlib
 from .core import Dataset, _child_seed
 from .ensemble import (
     DEFAULT_STACK_BASES,
+    AdaBoostR2,
+    BaggingEnsemble,
     EnsembleSpec,
-    adaboost_r2_fit,
-    bagging_fit,
+    ExtraTrees,
+    HistGradientBoosting,
+    RandomForest,
     build_stacking_plan,
-    extra_trees_fit,
     gradient_boost_fit,
-    hist_gradient_boost_fit,
-    random_forest_fit,
     stacking_fit_from_plan,
 )
-from .regressors import cart_fit, gpr_fit, knn_fit, mlp_fit, svr_fit
+from .regressors import cart_fit, fit_on_dataset, gpr_fit, knn_fit, mlp_fit, svr_fit
 
 # The lambdas look the fit functions up as module globals at call time, so a
 # wrapper installed on this module (perfbench's traced run) sees every call.
@@ -42,6 +42,15 @@ _BASE_BUILDERS = {
     "mlp": lambda tr, s: mlp_fit(tr, seed=s),
 }
 BASE_IDS = tuple(_BASE_BUILDERS)
+
+# Ensemble classes built from their spec's tuning fields, their bases' builders
+# and the fit seed.
+_SEEDED_ENSEMBLES = {
+    "boosting-abr": AdaBoostR2,
+    "bagging": BaggingEnsemble,
+    "random-forest": RandomForest,
+    "extra-trees": ExtraTrees,
+}
 
 # ids that name a strategy with no base estimator
 _PLAIN_IDS = {
@@ -195,30 +204,17 @@ def builder_for(item, plan_cache=None):
     spec = _as_spec(item)
     if isinstance(spec, str):
         return _BASE_BUILDERS[spec]
-    n = spec.n_estimators
-    if spec.strategy == "boosting-abr":
-        base = builder_for(spec.base[0])
-        return lambda tr, s: adaboost_r2_fit(tr, base, n_estimators=n, seed=s)
+    if spec.strategy == "stacking":
+        return lambda tr, s: _fit_stacking_spec(spec, tr, s, {} if plan_cache is None else plan_cache)
+    kwargs = spec.tuning()
     if spec.strategy == "boosting-gbr":
-        return lambda tr, s: gradient_boost_fit(
-            tr, n_estimators=n, learning_rate=spec.learning_rate, max_depth=spec.max_depth
-        )
+        # looked up as a module global at call time, as in _BASE_BUILDERS
+        return lambda tr, s: gradient_boost_fit(tr, **kwargs)
     if spec.strategy == "boosting-hgbr":
-        return lambda tr, s: hist_gradient_boost_fit(
-            tr,
-            n_estimators=n,
-            learning_rate=spec.learning_rate,
-            max_depth=spec.max_depth,
-            max_bins=spec.max_bins,
-        )
-    if spec.strategy == "bagging":
-        base = builder_for(spec.base[0])
-        return lambda tr, s: bagging_fit(tr, base, n_estimators=n, seed=s)
-    if spec.strategy == "random-forest":
-        return lambda tr, s: random_forest_fit(tr, n_estimators=n, seed=s)
-    if spec.strategy == "extra-trees":
-        return lambda tr, s: extra_trees_fit(tr, n_estimators=n, seed=s)
-    return lambda tr, s: _fit_stacking_spec(spec, tr, s, {} if plan_cache is None else plan_cache)
+        return lambda tr, s: fit_on_dataset(HistGradientBoosting(**kwargs), tr)
+    cls = _SEEDED_ENSEMBLES[spec.strategy]
+    bases = [builder_for(b) for b in spec.base]
+    return lambda tr, s: fit_on_dataset(cls(*bases, **kwargs, seed=s), tr)
 
 
 def fit_model(item, train: Dataset, seed: int = 0, plan_cache=None):

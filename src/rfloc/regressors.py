@@ -119,8 +119,9 @@ class KnnRegressor(Model):
         X, Y = self._fit_inputs(features, labels)
         if self.k > X.shape[0]:
             raise ValueError(f"k={self.k} exceeds training size n={X.shape[0]}")
-        self._X = X
-        self._Y = Y
+        # copies: a later write to the caller's arrays must not move the model
+        self._X = X.copy()
+        self._Y = Y.copy()
         return self._mark_fitted(X.shape[1], Y.shape[1])
 
     def _predict(self, features):
@@ -401,7 +402,7 @@ class GprRegressor(Model):
         self._y_mean = Y.mean(axis=0)
         z = solve_triangular(L, Y - self._y_mean, lower=True)
         self._alpha = solve_triangular(L.T, z, lower=False)
-        self._X = X
+        self._X = X.copy()  # the caller's array may change after fit
         self.effective_jitter = jitter
         return self._mark_fitted(X.shape[1], Y.shape[1])
 
@@ -629,8 +630,3 @@ def mlp_fit(
         ),
         train,
     )
-
-
-def predict(model: Model, features) -> np.ndarray:
-    """Uniform prediction entry point: (q, m) features -> (q, 3) coordinates."""
-    return model.predict(features)

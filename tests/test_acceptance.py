@@ -17,7 +17,14 @@ from scipy.spatial.distance import cdist
 from rfloc.bandselect import permutation_importance, select_rated_band
 from rfloc.cli import main
 from rfloc.core import Position, train_test_split, validate_dataset
-from rfloc.ensemble import EnsembleSpec, GradientBoosting, HistGradientBoosting, bagging_fit
+from rfloc.ensemble import (
+    AdaBoostR2,
+    BaggingEnsemble,
+    EnsembleSpec,
+    GradientBoosting,
+    HistGradientBoosting,
+    StackingEnsemble,
+)
 from rfloc.evaluate import benchmark, ce95, r2, rmse
 from rfloc.io import read_rtlpower_scan, rtlpower_rows_to_dataset, write_dataset_csv
 from rfloc.pca import pca_fit, pca_transform
@@ -25,6 +32,7 @@ from rfloc.regressors import (
     CartRegressor,
     GprRegressor,
     KnnRegressor,
+    fit_on_dataset,
     mlp_loss_and_grads,
 )
 from rfloc.registry import BASE_IDS, fit_model
@@ -174,9 +182,9 @@ def test_criterion_3_ensemble_algebra():
             return out
 
     train = validate_dataset(np.arange(5.0)[:, None], np.zeros((5, 3)), (91.2,))
-    from rfloc.ensemble import adaboost_r2_fit
-
-    boosted = adaboost_r2_fit(train, lambda ds, seed: _RowError(), n_estimators=5, seed=0)
+    boosted = fit_on_dataset(
+        AdaBoostR2(lambda ds, seed: _RowError(), n_estimators=5, seed=0), train
+    )
     assert boosted.avg_losses_[0] == pytest.approx(0.2, rel=1e-12)
     beta = boosted.avg_losses_[0] / (1.0 - boosted.avg_losses_[0])
     assert beta == pytest.approx(0.25, rel=1e-12)
@@ -205,22 +213,20 @@ def test_criterion_3_ensemble_algebra():
             return np.full((len(Q), 3), self.c)
 
     consts = iter([0.0, 2.0])
-    bag = bagging_fit(
+    bag = fit_on_dataset(
+        BaggingEnsemble(lambda ds, seed: _Const(next(consts)), n_estimators=2),
         validate_dataset(rng.normal(size=(10, 2)), rng.normal(size=(10, 3)), (1.0, 2.0)),
-        lambda ds, seed: _Const(next(consts)),
-        n_estimators=2,
     )
     assert np.array_equal(bag.predict(np.zeros((4, 2))), np.ones((4, 3)))
 
     # stacking: meta width is three columns per base; meta rows are out-of-fold
-    from rfloc.ensemble import stacking_fit
     from rfloc.regressors import knn_fit
 
     ds = validate_dataset(
         rng.normal(size=(40, 3)), rng.normal(size=(40, 3)), (1.0, 2.0, 3.0)
     )
     builders = [lambda sub, seed: knn_fit(sub, k=1) for _ in range(4)]
-    stack = stacking_fit(ds, builders, lambda sub, seed: knn_fit(sub, k=1))
+    stack = fit_on_dataset(StackingEnsemble(builders, lambda sub, seed: knn_fit(sub, k=1)), ds)
     assert stack.meta_features_.shape == (40, 3 * 4)
     for keep, hold in stack.fold_plan:
         refit = knn_fit(ds.subset(keep), k=1)

@@ -14,15 +14,9 @@ from rfloc.ensemble import (
     HistGradientBoosting,
     RandomForest,
     StackingEnsemble,
-    adaboost_r2_fit,
-    bagging_fit,
     build_stacking_plan,
-    extra_trees_fit,
     gradient_boost_fit,
-    hist_gradient_boost_fit,
     quantile_bin_edges,
-    random_forest_fit,
-    stacking_fit,
     stacking_fit_from_plan,
     weighted_median,
 )
@@ -85,7 +79,7 @@ class TestAdaBoost:
 
     def test_hand_worked_round(self):
         train, builder = self._one_bad_row()
-        m = adaboost_r2_fit(train, builder, n_estimators=10, seed=0)
+        m = fit_on_dataset(AdaBoostR2(builder, n_estimators=10, seed=0), train)
         # round 0: uniform weights, one relative loss of 1 -> avg loss 1/5
         assert m.avg_losses_[0] == pytest.approx(0.2, rel=1e-12)
         assert m.member_weights_[0] == pytest.approx(math.log(4.0), rel=1e-12)
@@ -100,7 +94,7 @@ class TestAdaBoost:
         builder = lambda ds, seed: _FixedModel(
             lambda Q: np.column_stack([Q[:, 0], np.zeros(len(Q)), np.zeros(len(Q))])
         )
-        m = adaboost_r2_fit(_dataset(X, Y), builder, n_estimators=10)
+        m = fit_on_dataset(AdaBoostR2(builder, n_estimators=10), _dataset(X, Y))
         assert len(m.members_) == 1
         assert m.member_weights_[0] == 1.0
         assert m.avg_losses_ == [0.0]
@@ -109,7 +103,7 @@ class TestAdaBoost:
         X = np.arange(4.0)[:, None]
         Y = np.tile([1.0, 0.0, 0.0], (4, 1))
         builder = lambda ds, seed: _FixedModel(lambda Q: np.zeros((len(Q), 3)))
-        m = adaboost_r2_fit(_dataset(X, Y), builder, n_estimators=10)
+        m = fit_on_dataset(AdaBoostR2(builder, n_estimators=10), _dataset(X, Y))
         assert len(m.members_) == 1
         assert m.avg_losses_[0] >= 0.5
         assert np.array_equal(m.predict(X), np.zeros((4, 3)))
@@ -117,7 +111,7 @@ class TestAdaBoost:
     def test_boosting_tree_reduces_error(self, rng):
         ds = toy_dataset(n=80, m=4, seed=5)
         builder = lambda sub, seed: cart_fit(sub, max_depth=3)
-        boosted = adaboost_r2_fit(ds, builder, n_estimators=15, seed=0)
+        boosted = fit_on_dataset(AdaBoostR2(builder, n_estimators=15, seed=0), ds)
         single = cart_fit(ds, max_depth=3)
         e_b = np.linalg.norm(boosted.predict(ds.features) - ds.labels, axis=1).mean()
         e_s = np.linalg.norm(single.predict(ds.features) - ds.labels, axis=1).mean()
@@ -128,7 +122,7 @@ class TestAdaBoost:
             raise RuntimeError("boom")
 
         with pytest.raises(ValueError, match="round 0"):
-            adaboost_r2_fit(toy_dataset(n=10, m=2), bad)
+            fit_on_dataset(AdaBoostR2(bad), toy_dataset(n=10, m=2))
 
 
 class TestGradientBoosting:
@@ -181,7 +175,7 @@ class TestHistGradientBoosting:
     def test_bins_capped_on_continuous_data(self, rng):
         X = rng.normal(size=(3000, 1))
         Y = np.tile(X, (1, 3))
-        m = hist_gradient_boost_fit(_dataset(X, Y), n_estimators=1, max_bins=16)
+        m = fit_on_dataset(HistGradientBoosting(n_estimators=1, max_bins=16), _dataset(X, Y))
         assert m.bin_counts[0] <= 16
 
     def test_validation(self):
@@ -189,6 +183,11 @@ class TestHistGradientBoosting:
             HistGradientBoosting(max_bins=1)
         with pytest.raises(ValueError):
             HistGradientBoosting(max_bins=257)
+
+    def test_is_gradient_boosting_on_bin_codes(self):
+        assert issubclass(HistGradientBoosting, GradientBoosting)
+        with pytest.raises(ValueError, match="n_estimators must be >= 0, got -1"):
+            HistGradientBoosting(n_estimators=-1)
 
 
 class TestQuantileBinEdges:
@@ -217,12 +216,12 @@ class TestBagging:
             c = next(consts)
             return _FixedModel(lambda Q, c=c: np.full((len(Q), 3), c))
 
-        m = bagging_fit(ds, builder, n_estimators=2)
+        m = fit_on_dataset(BaggingEnsemble(builder, n_estimators=2), ds)
         assert np.array_equal(m.predict(ds.features[:3]), np.ones((3, 3)))
 
     def test_bootstrap_indices_resample_with_replacement(self):
         ds = toy_dataset(n=50, m=2, seed=1)
-        m = bagging_fit(ds, lambda sub, seed: knn_fit(sub, k=1), n_estimators=5)
+        m = fit_on_dataset(BaggingEnsemble(lambda sub, seed: knn_fit(sub, k=1), n_estimators=5), ds)
         assert len(m.member_indices_) == 5
         for idx in m.member_indices_:
             assert idx.shape == (50,)
@@ -231,7 +230,8 @@ class TestBagging:
 
     def test_no_bootstrap_uses_every_row_once(self):
         ds = toy_dataset(n=20, m=2, seed=2)
-        m = bagging_fit(ds, lambda sub, seed: knn_fit(sub, k=1), n_estimators=2, bootstrap=False)
+        member = lambda sub, seed: knn_fit(sub, k=1)
+        m = fit_on_dataset(BaggingEnsemble(member, n_estimators=2, bootstrap=False), ds)
         for idx in m.member_indices_:
             assert np.array_equal(idx, np.arange(20))
         single = knn_fit(ds, k=1)
@@ -239,8 +239,9 @@ class TestBagging:
 
     def test_seeded_determinism(self):
         ds = toy_dataset(n=30, m=3, seed=3)
-        a = bagging_fit(ds, lambda sub, seed: cart_fit(sub, max_depth=2), n_estimators=4, seed=9)
-        b = bagging_fit(ds, lambda sub, seed: cart_fit(sub, max_depth=2), n_estimators=4, seed=9)
+        tree = lambda sub, seed: cart_fit(sub, max_depth=2)
+        a = fit_on_dataset(BaggingEnsemble(tree, n_estimators=4, seed=9), ds)
+        b = fit_on_dataset(BaggingEnsemble(tree, n_estimators=4, seed=9), ds)
         assert np.array_equal(a.predict(ds.features), b.predict(ds.features))
 
 
@@ -265,20 +266,20 @@ class TestArrayFit:
 class TestForests:
     def test_forest_averages_its_members(self, rng):
         ds = toy_dataset(n=60, m=4, seed=4)
-        m = random_forest_fit(ds, n_estimators=5, seed=1)
+        m = fit_on_dataset(RandomForest(n_estimators=5, seed=1), ds)
         member_mean = np.mean([t.predict(ds.features[:6]) for t in m.members_], axis=0)
         assert np.allclose(m.predict(ds.features[:6]), member_mean)
 
     def test_max_features_drawn_at_every_split(self):
         ds = toy_dataset(n=60, m=5, seed=5)
-        m = random_forest_fit(ds, n_estimators=4, max_features=2, seed=0)
+        m = fit_on_dataset(RandomForest(n_estimators=4, max_features=2, seed=0), ds)
         logs = [rec for t in m.members_ for rec in t.split_log]
         assert logs
         assert all(len(rec.candidate_features) == 2 for rec in logs)
 
     def test_extra_trees_thresholds_inside_node_range(self):
         ds = toy_dataset(n=60, m=4, seed=6)
-        m = extra_trees_fit(ds, n_estimators=4, seed=0)
+        m = fit_on_dataset(ExtraTrees(n_estimators=4, seed=0), ds)
         logs = [rec for t in m.members_ for rec in t.split_log]
         assert logs
         for rec in logs:
@@ -287,7 +288,7 @@ class TestForests:
 
     def test_extra_trees_skip_bootstrap(self):
         ds = toy_dataset(n=40, m=3, seed=7)
-        m = extra_trees_fit(ds, n_estimators=3, seed=0)
+        m = fit_on_dataset(ExtraTrees(n_estimators=3, seed=0), ds)
         assert m.bootstrap is False
         # members differ only through their random thresholds
         a, b = m.members_[0], m.members_[1]
@@ -295,8 +296,8 @@ class TestForests:
 
     def test_forest_seeds_change_the_model(self):
         ds = toy_dataset(n=50, m=3, seed=8)
-        a = random_forest_fit(ds, n_estimators=3, seed=0)
-        b = random_forest_fit(ds, n_estimators=3, seed=1)
+        a = fit_on_dataset(RandomForest(n_estimators=3, seed=0), ds)
+        b = fit_on_dataset(RandomForest(n_estimators=3, seed=1), ds)
         assert not np.array_equal(a.predict(ds.features), b.predict(ds.features))
 
     def test_kinds(self):
@@ -306,8 +307,8 @@ class TestForests:
     def test_forests_bag_seeded_cart_trees(self):
         ds = toy_dataset(n=40, m=4, seed=9)
         for forest, random_thresholds in (
-            (random_forest_fit(ds, n_estimators=3, max_features=2, seed=5), False),
-            (extra_trees_fit(ds, n_estimators=3, max_features=2, seed=5), True),
+            (fit_on_dataset(RandomForest(n_estimators=3, max_features=2, seed=5), ds), False),
+            (fit_on_dataset(ExtraTrees(n_estimators=3, max_features=2, seed=5), ds), True),
         ):
             assert isinstance(forest, BaggingEnsemble)
             assert all(type(t) is CartRegressor for t in forest.members_)
@@ -319,7 +320,7 @@ class TestForests:
 
     def test_member_errors_name_the_member(self):
         with pytest.raises(ValueError, match=r"bagging member 0: max_features must be in \[1, 2\]"):
-            random_forest_fit(toy_dataset(n=10, m=2), n_estimators=2, max_features=3)
+            fit_on_dataset(RandomForest(n_estimators=2, max_features=3), toy_dataset(n=10, m=2))
 
 
 class TestStacking:
@@ -328,12 +329,16 @@ class TestStacking:
 
     def test_meta_width_three_per_base(self):
         ds = toy_dataset(n=40, m=3, seed=9)
-        m = stacking_fit(ds, self._builders(10), lambda sub, seed: knn_fit(sub, k=1))
+        m = fit_on_dataset(
+            StackingEnsemble(self._builders(10), lambda sub, seed: knn_fit(sub, k=1)), ds
+        )
         assert m.meta_features_.shape == (40, 30)
 
     def test_fold_plan_partitions_rows(self):
         ds = toy_dataset(n=43, m=3, seed=10)
-        m = stacking_fit(ds, self._builders(2), lambda sub, seed: knn_fit(sub, k=1))
+        m = fit_on_dataset(
+            StackingEnsemble(self._builders(2), lambda sub, seed: knn_fit(sub, k=1)), ds
+        )
         assert len(m.fold_plan) == 5
         holds = np.concatenate([h for _, h in m.fold_plan])
         assert np.array_equal(np.sort(holds), np.arange(43))
@@ -342,14 +347,18 @@ class TestStacking:
 
     def test_meta_rows_are_out_of_fold(self):
         ds = toy_dataset(n=30, m=3, seed=11)
-        m = stacking_fit(ds, self._builders(1), lambda sub, seed: knn_fit(sub, k=1))
+        m = fit_on_dataset(
+            StackingEnsemble(self._builders(1), lambda sub, seed: knn_fit(sub, k=1)), ds
+        )
         keep, hold = m.fold_plan[0]
         refit = knn_fit(ds.subset(keep), k=1)
         assert np.array_equal(m.meta_features_[hold], refit.predict(ds.features[hold]))
 
     def test_predict_composes_full_bases_and_final(self):
         ds = toy_dataset(n=30, m=3, seed=12)
-        m = stacking_fit(ds, self._builders(2), lambda sub, seed: cart_fit(sub, max_depth=2))
+        m = fit_on_dataset(
+            StackingEnsemble(self._builders(2), lambda sub, seed: cart_fit(sub, max_depth=2)), ds
+        )
         Q = ds.features[:5]
         meta = np.hstack([b.predict(Q) for b in m.full_bases_])
         assert np.array_equal(m.predict(Q), m.final_.predict(meta))
@@ -360,7 +369,7 @@ class TestStacking:
         final = lambda sub, seed: cart_fit(sub, max_depth=2)
         plan = build_stacking_plan(ds, builders, seed=4)
         via_plan = stacking_fit_from_plan(ds, plan, final, seed=4)
-        direct = stacking_fit(ds, builders, final, seed=4)
+        direct = fit_on_dataset(StackingEnsemble(builders, final, seed=4), ds)
         Q = ds.features[:8]
         assert np.array_equal(via_plan.predict(Q), direct.predict(Q))
         assert via_plan.base_builders == plan.base_builders == builders
@@ -380,4 +389,4 @@ class TestStacking:
             raise RuntimeError("nope")
 
         with pytest.raises(ValueError, match="fold 0"):
-            stacking_fit(toy_dataset(n=20, m=2), [bad], lambda sub, seed: None)
+            fit_on_dataset(StackingEnsemble([bad], lambda sub, seed: None), toy_dataset(n=20, m=2))

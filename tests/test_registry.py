@@ -185,11 +185,33 @@ class TestFitSpec:
         with pytest.raises(ValueError, match=r"exactly one base .*\(\)"):
             EnsembleSpec(strategy="boosting-abr", base=())
 
-    def test_gbr_spec_parameters_apply(self):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EnsembleSpec(strategy="boosting-abr", base=("knr",), n_estimators=3),
+            EnsembleSpec(strategy="boosting-gbr", n_estimators=7, learning_rate=0.3, max_depth=2),
+            EnsembleSpec(
+                strategy="boosting-hgbr", n_estimators=4, learning_rate=0.2, max_depth=1, max_bins=8
+            ),
+            EnsembleSpec(strategy="bagging", base=("dtr",), n_estimators=3),
+            EnsembleSpec(strategy="random-forest", n_estimators=4),
+            EnsembleSpec(strategy="extra-trees", n_estimators=2),
+        ],
+        ids=lambda spec: spec.strategy,
+    )
+    def test_spec_parameters_apply(self, spec):
         ds = toy_dataset(n=30, m=3, seed=6)
-        spec = EnsembleSpec(strategy="boosting-gbr", n_estimators=7)
         model = fit_model(spec, ds)
-        assert len(model.train_rmse_path) == 7
+        default = EnsembleSpec(strategy=spec.strategy, base=spec.base).to_dict()
+        changed = {name: v for name, v in spec.to_dict().items() if v != default[name]}
+        assert changed
+        assert {name: getattr(model, name) for name in changed} == changed
+        if hasattr(model, "train_rmse_path"):
+            assert len(model.train_rmse_path) == spec.n_estimators
+        elif model.kind == "abr":  # rounds may stop early
+            assert 1 <= len(model.members_) <= spec.n_estimators
+        else:
+            assert len(model.members_) == spec.n_estimators
 
     def test_base_count_and_final_checked_at_construction(self):
         for strategy in ("boosting-gbr", "boosting-hgbr", "random-forest", "extra-trees"):

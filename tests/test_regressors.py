@@ -89,6 +89,17 @@ class TestModelContract:
             model = cls(k=1) if cls is KnnRegressor else cls()
             assert model.fit(X, X[:, 0] * 2.0).predict(X[:2]).shape == (2, 1), cls.__name__
 
+    @pytest.mark.parametrize("make", [lambda: KnnRegressor(k=1), GprRegressor], ids=["knr", "gpr"])
+    def test_later_writes_to_the_training_arrays_do_not_move_the_model(self, make):
+        X = np.arange(10.0).reshape(5, 2)
+        Y = np.arange(15.0).reshape(5, 3)
+        model = make().fit(X, Y)
+        before = model.predict(X[4:].copy())
+        assert np.allclose(before, [[12.0, 13.0, 14.0]])
+        X[:] = 0.0
+        Y[:] = 0.0
+        assert np.array_equal(model.predict(np.array([[8.0, 9.0]])), before)
+
     def test_predict_rejects_bad_query(self):
         m = KnnRegressor(k=1).fit(np.zeros((2, 2)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
