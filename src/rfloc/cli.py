@@ -181,19 +181,20 @@ def cmd_select_band(args) -> int:
     data = read_dataset_csv(data_path)
     if top_k > data.m:
         raise ValueError(f"--top-k ({top_k}) exceeds the dataset's {data.m} frequencies")
+    sensor_path = _opt(args, cfg, "sensor-config")
+    if sensor_path is not None:
+        base = read_sensor_config_json(sensor_path)
+        _check_band_matches(base.band_mhz, data.frequencies_mhz)
+    else:
+        base = SensorConfig(
+            band_mhz=data.frequencies_mhz,
+            step_mhz=_regular_step(data.frequencies_mhz),
+            sample_rate_hz=2.4e6,
+            samples_per_position=100,
+        )
     split = train_test_split(data, fraction, seed)
     model = fit_model(model_id, split.train, seed=seed)
     report = permutation_importance(model, split.test, n_repeats=n_repeats, seed=seed)
-
-    # Reconstruct the sensor config this dataset was captured under: the band
-    # comes from the CSV header, the step from the grid spacing.
-    step = data.frequencies_mhz[1] - data.frequencies_mhz[0] if data.m > 1 else 2.4
-    base = SensorConfig(
-        band_mhz=data.frequencies_mhz,
-        step_mhz=step,
-        sample_rate_hz=2.4e6,
-        samples_per_position=100,
-    )
     rated = select_rated_band(report, top_k, base=base)
     write_importance_csv(report, out_importance)
     write_sensor_config_json(rated, out_config)
@@ -202,6 +203,46 @@ def cmd_select_band(args) -> int:
         f"frequencies ({', '.join(str(f) for f in rated.band_mhz)} MHz)"
     )
     return 0
+
+
+def _check_band_matches(config_band, data_band) -> None:
+    """Raise ValueError naming the first frequency where the two bands differ."""
+    for i, (c, d) in enumerate(zip(config_band, data_band)):
+        if c != d:
+            raise ValueError(
+                f"--sensor-config band differs from the data's at index {i}: "
+                f"{c} MHz in the config, {d} MHz in the CSV header"
+            )
+    if len(config_band) != len(data_band):
+        i = min(len(config_band), len(data_band))
+        if len(config_band) > i:
+            where, f = "config", config_band[i]
+        else:
+            where, f = "CSV header", data_band[i]
+        raise ValueError(
+            f"--sensor-config band has {len(config_band)} frequencies, the CSV header "
+            f"{len(data_band)}: {f} MHz at index {i} is only in the {where}"
+        )
+
+
+def _regular_step(band) -> float:
+    """The step of an evenly spaced band (2.4 MHz for a single frequency).
+
+    An uneven band, such as one ingested from rtl_power with missing bins,
+    has no one step, so the caller must supply the sensor config instead.
+    """
+    if len(band) < 2:
+        return 2.4
+    step = band[1] - band[0]
+    for i in range(1, len(band) - 1):
+        gap = band[i + 1] - band[i]
+        if abs(gap - step) > 1e-6 * step:
+            raise UsageError(
+                f"the data's band is unevenly spaced ({step:g} MHz from {band[0]} to "
+                f"{band[1]}, {gap:g} MHz from {band[i]} to {band[i + 1]}); "
+                "pass --sensor-config with the config it was captured under"
+            )
+    return step
 
 
 def cmd_pca(args) -> int:
@@ -298,6 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float, help="train fraction (default 0.7)")
     p.add_argument("--out-importance", help="output importance CSV")
     p.add_argument("--out-config", help="output sensor config JSON")
+    p.add_argument("--sensor-config",
+                   help="sensor config JSON the data was captured under; its band must "
+                        "equal the CSV header, and the output keeps its step, rate and "
+                        "sample count (default: the header's even step, 2.4e6 Hz, "
+                        "100 samples)")
     p.add_argument("--seed", type=int, help="split/fit/shuffle seed (required)")
 
     p = add("pca", cmd_pca, "project a dataset onto principal components")

@@ -126,7 +126,17 @@ class KnnRegressor(Model):
 
     def _predict(self, features):
         d = cdist(features, self._X)
-        nearest = np.argsort(d, axis=1, kind="stable")[:, : self.k]
+        k = self.k
+        # The k smallest by argpartition, ordered by (distance, row index).
+        cand = np.sort(np.argpartition(d, k - 1, axis=1)[:, :k], axis=1)
+        order = np.argsort(np.take_along_axis(d, cand, axis=1), axis=1, kind="stable")
+        nearest = np.take_along_axis(cand, order, axis=1)
+        # A row with more than k distances at or below its k-th (or a NaN k-th)
+        # has no unique k nearest: the stable full sort picks the lowest rows.
+        kth = np.take_along_axis(d, nearest[:, -1:], axis=1)
+        tied = np.count_nonzero(d <= kth, axis=1) != k
+        if tied.any():
+            nearest[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
         neigh_y = self._Y[nearest]  # (q, k, d)
         if self.weighting == "uniform":
             return neigh_y.mean(axis=1)
@@ -381,19 +391,28 @@ class GprRegressor(Model):
         self.noise_jitter = noise_jitter
 
     def _kernel(self, A, B):
-        sq = cdist(A, B, "sqeuclidean")
-        return self.signal_variance * np.exp(-sq / (2.0 * self.length_scale**2))
+        """The kernel matrix, computed in the cdist buffer with no n x n temporaries."""
+        K = cdist(A, B, "sqeuclidean")
+        np.negative(K, out=K)
+        np.divide(K, 2.0 * self.length_scale**2, out=K)
+        np.exp(K, out=K)
+        np.multiply(K, self.signal_variance, out=K)
+        return K
 
     def fit(self, features, labels):
         X, Y = self._fit_inputs(features, labels)
-        K = self._kernel(X, X)
         jitter = self.noise_jitter
         L = None
         for _ in range(4):
+            K = self._kernel(X, X)
+            K.flat[:: K.shape[0] + 1] += jitter
             try:
-                L = cholesky(K + jitter * np.eye(K.shape[0]), lower=True)
+                # K is exactly symmetric, so K.T is the Fortran-ordered copy
+                # LAPACK wants; potrf writes L over it.
+                L = cholesky(K.T, lower=True, overwrite_a=True)
                 break
             except LinAlgError:
+                del K  # potrf wrote over it; free it before the rebuild
                 jitter *= 10.0
         if L is None:
             raise ValueError(

@@ -210,6 +210,80 @@ class TestSelectBand:
         assert "exceeds" in capsys.readouterr().err
 
 
+class TestSelectBandSensorConfig:
+    def _data(self, tmp_path, band):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, len(band)))
+        Y = np.column_stack([X[:, 0], X[:, 0] * 2.0, rng.normal(size=40)])
+        path = tmp_path / "cols.csv"
+        write_dataset_csv(validate_dataset(X, Y, band), str(path))
+        return str(path)
+
+    def _run(self, tmp_path, data, *extra):
+        return main([
+            "select-band", "--data", data, "--model", "knr", "--top-k", "2",
+            "--n-repeats", "1", "--out-importance", str(tmp_path / "imp.csv"),
+            "--out-config", str(tmp_path / "rated.json"), "--seed", "0", *extra,
+        ])
+
+    def test_rated_config_takes_step_rate_and_samples_from_the_file(self, tmp_path, capsys):
+        band = (91.2, 93.6, 98.4, 100.0)
+        data = self._data(tmp_path, band)
+        sensor = tmp_path / "sensor.json"
+        write_sensor_config_json(
+            SensorConfig(band_mhz=band, step_mhz=0.8, sample_rate_hz=1.2e6,
+                         samples_per_position=7, reconfig_index=2),
+            str(sensor),
+        )
+        assert self._run(tmp_path, data, "--sensor-config", str(sensor)) == 0
+        rated = read_sensor_config_json(str(tmp_path / "rated.json"))
+        assert rated.n_frequencies == 2 and set(rated.band_mhz) <= set(band)
+        assert (rated.step_mhz, rated.sample_rate_hz, rated.samples_per_position,
+                rated.reconfig_index) == (0.8, 1.2e6, 7, 3)
+
+        # the same option as a config-file key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sensor-config": str(sensor)}))
+        (tmp_path / "rated.json").unlink()
+        assert self._run(tmp_path, data, "--config", str(cfg)) == 0
+        assert read_sensor_config_json(str(tmp_path / "rated.json")) == rated
+
+        # a band other than the CSV header's is refused, naming the first difference
+        write_sensor_config_json(
+            SensorConfig(band_mhz=(91.2, 93.6, 96.0, 100.0), step_mhz=0.8,
+                         sample_rate_hz=1.2e6, samples_per_position=7),
+            str(sensor),
+        )
+        capsys.readouterr()
+        assert self._run(tmp_path, data, "--sensor-config", str(sensor)) == 1
+        assert "at index 2: 96.0 MHz in the config, 98.4 MHz in the CSV header" in (
+            capsys.readouterr().err
+        )
+        write_sensor_config_json(
+            SensorConfig(band_mhz=band[:3], step_mhz=0.8, sample_rate_hz=1.2e6,
+                         samples_per_position=7),
+            str(sensor),
+        )
+        assert self._run(tmp_path, data, "--sensor-config", str(sensor)) == 1
+        assert "100.0 MHz at index 3 is only in the CSV header" in capsys.readouterr().err
+
+    def test_uneven_band_without_a_sensor_config_is_refused(self, tmp_path, capsys):
+        data = self._data(tmp_path, (91.2, 93.6, 98.4, 100.8))
+        assert self._run(tmp_path, data) == 2
+        err = capsys.readouterr().err
+        assert "unevenly spaced (2.4 MHz from 91.2 to 93.6, 4.8 MHz from 93.6 to 98.4)" in err
+        assert "--sensor-config" in err
+        assert not (tmp_path / "rated.json").exists()
+
+    def test_even_band_keeps_the_step_from_the_header(self, tmp_path):
+        data = self._data(tmp_path, (91.2, 93.6, 96.0, 98.4))
+        assert self._run(tmp_path, data) == 0
+        written = json.loads((tmp_path / "rated.json").read_text())
+        assert written["step_mhz"] == 93.6 - 91.2
+        assert (written["sample_rate_hz"], written["samples_per_position"],
+                written["reconfig_index"]) == (2.4e6, 100, 1)
+
+
 class TestPca:
     def test_writes_scores(self, tmp_path, capsys):
         data = _write_toy(tmp_path)

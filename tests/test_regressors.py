@@ -1,7 +1,11 @@
 """Base regressors: hand-checked values, brute-force oracles, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.spatial.distance import cdist
 
 from rfloc.core import validate_dataset
 from rfloc.ensemble import (
@@ -160,6 +164,38 @@ class TestKnn:
         Y = np.array([[5.0, 0.0, 0.0], [9.0, 0.0, 0.0]])
         m = KnnRegressor(k=2, weighting="inverse-distance").fit(X, Y)
         assert m.predict([[1.0]])[0, 0] == 9.0
+
+    @staticmethod
+    def _stable_argsort_predict(X, Y, Q, k, weighting):
+        """KNN prediction from a full stable argsort of each query's distances."""
+        d = cdist(Q, X)
+        nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+        neigh_y = Y[nearest]
+        if weighting == "uniform":
+            return neigh_y.mean(axis=1)
+        neigh_d = np.take_along_axis(d, nearest, axis=1)
+        exact = neigh_d == 0.0
+        with np.errstate(divide="ignore"):
+            w = np.where(exact, 0.0, 1.0 / np.where(exact, 1.0, neigh_d))
+        has_exact = exact.any(axis=1)
+        w[has_exact] = exact[has_exact].astype(np.float64)
+        w /= w.sum(axis=1, keepdims=True)
+        return (w[:, :, None] * neigh_y).sum(axis=1)
+
+    @pytest.mark.parametrize("weighting", ["uniform", "inverse-distance"])
+    @pytest.mark.parametrize("k", [1, 4, 60])
+    def test_ties_at_the_kth_distance_match_a_stable_argsort(self, rng, k, weighting):
+        # Rows on a small integer grid repeat, so many sit at equal distances;
+        # distinct labels make any other choice among tied rows visible.
+        X = rng.integers(0, 4, size=(60, 2)).astype(np.float64)
+        Y = rng.normal(size=(60, 3))
+        Q = rng.integers(0, 8, size=(200, 2)) / 2.0
+        d = cdist(Q, X)
+        kth = np.sort(d, axis=1)[:, k - 1 : k]
+        beyond = (d <= kth).sum(axis=1) > k
+        assert k == 60 or 0 < beyond.sum() < len(Q)  # both paths run
+        got = KnnRegressor(k=k, weighting=weighting).fit(X, Y).predict(Q)
+        assert np.array_equal(got, self._stable_argsort_predict(X, Y, Q, k, weighting))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -330,6 +366,58 @@ class TestGpr:
         m = GprRegressor(noise_jitter=1e-18).fit(X, Y)
         assert m.effective_jitter > m.noise_jitter
         assert np.allclose(m.predict([[0.0, 0.0]]), [[1.0, 2.0, 3.0]], atol=1e-5)
+
+    @staticmethod
+    def _out_of_place_fit(X, Y, Q, ls, sv, jit):
+        """GPR with a fresh n x n array per step: alpha, the jitter used, predictions."""
+        n = len(X)
+        K = sv * np.exp(-cdist(X, X, "sqeuclidean") / (2 * ls**2))
+        for _ in range(4):
+            try:
+                L = cholesky(K + jit * np.eye(n), lower=True)
+                break
+            except LinAlgError:
+                jit *= 10.0
+        y_mean = Y.mean(axis=0)
+        z = solve_triangular(L, Y - y_mean, lower=True)
+        alpha = solve_triangular(L.T, z, lower=False)
+        Kq = sv * np.exp(-cdist(Q, X, "sqeuclidean") / (2 * ls**2))
+        return alpha, jit, Kq @ alpha + y_mean
+
+    @pytest.mark.parametrize("case", ["random", "jitter-escalates"])
+    def test_in_place_kernel_is_bit_identical(self, rng, case):
+        if case == "random":
+            X = rng.normal(size=(120, 4))
+            Y = rng.normal(size=(120, 3))
+            Q = rng.normal(size=(30, 4))
+            ls, sv, jit = 1.3, 2.0, 1e-8
+        else:
+            X = np.zeros((50, 2))
+            Y = np.tile([1.0, 2.0, 3.0], (50, 1))
+            Q = np.array([[0.0, 0.0], [1.0, -1.0]])
+            ls, sv, jit = 1.0, 1.0, 1e-18
+        m = GprRegressor(length_scale=ls, signal_variance=sv, noise_jitter=jit).fit(X, Y)
+        alpha, jitter, pred = self._out_of_place_fit(X, Y, Q, ls, sv, jit)
+        assert m.effective_jitter == jitter
+        assert (jitter > jit) == (case == "jitter-escalates")
+        assert np.array_equal(m._alpha, alpha)
+        assert np.array_equal(m.predict(Q), pred)
+        K = m._kernel(X, X)
+        assert np.array_equal(K, K.T)
+
+    def test_fit_holds_about_one_kernel_matrix(self, rng):
+        # tracemalloc sees numpy's and f2py's buffers; a fit that builds its
+        # kernel out of place peaks near three n x n float64 arrays.
+        n = 1000
+        X = rng.normal(size=(n, 5))
+        Y = rng.normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            GprRegressor().fit(X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n x n arrays"
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
