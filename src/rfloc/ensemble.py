@@ -10,13 +10,14 @@ from the ensemble seed, making every strategy bit-reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .core import Dataset, _child_rng, _child_seed, validate_dataset
-from .regressors import CartRegressor, Model, fit_on_dataset
+from .regressors import CartRegressor, Model, column_order, fit_on_dataset
 
 STRATEGIES = (
     "boosting-abr",
@@ -46,6 +47,14 @@ _TUNING_READ = {
 DEFAULT_STACK_BASES = ("svr", "knr", "gpr", "dtr", "mlp", "abr", "gbr", "hgbr", "rfr", "ert")
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming value unless it is an int (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Declarative description of one ensemble configuration.
@@ -70,8 +79,7 @@ class EnsembleSpec:
         object.__setattr__(self, "base", tuple(self.base))
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.n_estimators < 1:
-            raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
+        _check_count("n_estimators", self.n_estimators, 1)
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
         if not 2 <= self.max_bins <= 256:
@@ -229,7 +237,9 @@ class GradientBoosting(Model):
     Each output dimension is boosted independently from its training mean;
     stage trees fit the current residuals and are added with shrinkage
     learning_rate. train_rmse_path records the training RMSE after every
-    stage (all outputs combined).
+    stage (all outputs combined). X is sorted once per fit and every stage
+    tree reuses that order; a stage moves each training row by the value of
+    the leaf it reached while the tree was grown.
     """
 
     kind = "gbr"
@@ -241,8 +251,7 @@ class GradientBoosting(Model):
         max_depth: int | None = 3,
     ):
         super().__init__()
-        if n_estimators < 0:
-            raise ValueError(f"n_estimators must be >= 0, got {n_estimators}")
+        _check_count("n_estimators", n_estimators, 0)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -253,13 +262,14 @@ class GradientBoosting(Model):
         self._base_value = Y.mean(axis=0)
         self._trees = [[] for _ in range(d)]
         F = np.tile(self._base_value, (X.shape[0], 1))
+        order = column_order(X)
         self.train_rmse_path = []
         for _ in range(self.n_estimators):
             for j in range(d):
                 tree = CartRegressor(max_depth=self.max_depth)
-                tree.fit(X, (Y[:, j] - F[:, j])[:, None])
+                tree.fit(X, (Y[:, j] - F[:, j])[:, None], order=order)
                 self._trees[j].append(tree)
-                F[:, j] += self.learning_rate * tree.predict(X)[:, 0]
+                F[:, j] += self.learning_rate * tree._value[tree.train_leaf, 0]
             self.train_rmse_path.append(
                 float(np.sqrt(np.mean(np.sum((Y - F) ** 2, axis=1))))
             )

@@ -47,7 +47,8 @@ class Model:
 
     def _fit_inputs(self, features, labels) -> tuple[np.ndarray, np.ndarray]:
         """Training arrays as float64, a 1-D label as one column; raises
-        ValueError naming the class on a bad shape or an empty set."""
+        ValueError naming the class on a bad shape, an empty set or a
+        non-finite value (with its row and column)."""
         X = np.asarray(features, dtype=np.float64)
         Y = np.asarray(labels, dtype=np.float64)
         if Y.ndim == 1:
@@ -61,6 +62,13 @@ class Model:
             raise ValueError(f"{name}: {X.shape[0]} feature rows vs {Y.shape[0]} label rows")
         if X.shape[0] == 0:
             raise ValueError(f"cannot fit {name} on an empty training set")
+        for what, A in (("features", X), ("labels", Y)):
+            finite = np.isfinite(A)
+            if not finite.all():
+                r, c = np.argwhere(~finite)[0]
+                raise ValueError(
+                    f"{name}: non-finite {what} value {A[r, c]} at row {r}, column {c}"
+                )
         return X, Y
 
     def _mark_fitted(self, n_features: int, n_outputs: int):
@@ -96,6 +104,10 @@ def fit_on_dataset(model: Model, train: Dataset) -> Model:
     return model
 
 
+# Query x train elements per block of a KNN predict.
+_KNN_BLOCK = 1 << 20
+
+
 class KnnRegressor(Model):
     """k-nearest-neighbor regression under Euclidean feature distance.
 
@@ -125,6 +137,15 @@ class KnnRegressor(Model):
         return self._mark_fitted(X.shape[1], Y.shape[1])
 
     def _predict(self, features):
+        # Queries a block of rows at a time, so the query x train distance
+        # and index arrays stay near _KNN_BLOCK elements; rows are independent.
+        block = max(1, _KNN_BLOCK // self._X.shape[0])
+        out = np.empty((features.shape[0], self._Y.shape[1]))
+        for start in range(0, features.shape[0], block):
+            out[start : start + block] = self._predict_block(features[start : start + block])
+        return out
+
+    def _predict_block(self, features):
         d = cdist(features, self._X)
         k = self.k
         # The k smallest by argpartition, ordered by (distance, row index).
@@ -160,6 +181,46 @@ class SplitRecord:
     value_range: tuple[float, float]  # (min, max) of the chosen feature at the node
 
 
+# Elements per block of the tree kernel's sort, scan and partition steps; it
+# bounds their temporaries (a larger scan block once raised band-select's
+# peak RSS from 119 to 201 MB).
+_BLOCK = 1 << 14
+
+
+def column_order(X: np.ndarray) -> np.ndarray:
+    """The stable ascending order of every column of X, as an (m, n) array.
+
+    Row f lists the row indices of X sorted by X[:, f], ties in row order. The
+    dtype is the smallest unsigned one that holds n - 1, and the columns are
+    sorted a block at a time, so no (n, m) intp array is ever held.
+    """
+    n, m = X.shape
+    order = np.empty((m, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    block = max(1, _BLOCK // n)
+    for start in range(0, m, block):
+        order[start : start + block] = np.argsort(
+            X[:, start : start + block], axis=0, kind="stable"
+        ).T
+    return order
+
+
+def _sse(s1, s2, count):
+    """Squared error about the mean, summed over the last axis (the outputs),
+    from the sums s1 and s2 of count values and of their squares.
+
+    numpy sums fewer than 8 values in order, so adding the outputs one by one
+    gives the same bits as .sum(axis=-1), about ten times faster on the
+    scan's short trailing axis.
+    """
+    e = s2 - s1 * s1 / count
+    if e.shape[-1] >= 8:
+        return e.sum(axis=-1)
+    total = e[..., 0].copy()
+    for i in range(1, e.shape[-1]):
+        total += e[..., i]
+    return total
+
+
 class CartRegressor(Model):
     """Greedy binary regression tree on variance reduction.
 
@@ -170,6 +231,11 @@ class CartRegressor(Model):
     fresh random feature subset; with random_thresholds, each candidate
     feature gets one uniform threshold inside its value range instead of the
     full midpoint scan.
+
+    The midpoint scan sorts each column once per fit (column_order) and
+    stably partitions that order at every split, so each node sees its rows
+    in ascending value order, ties in row order, without sorting. After fit,
+    train_leaf holds the leaf each training row reached.
     """
 
     kind = "dtr"
@@ -194,25 +260,39 @@ class CartRegressor(Model):
         self.seed = seed
         self.split_log: list[SplitRecord] = []
 
-    def fit(self, features, labels):
+    def fit(self, features, labels, *, order=None):
+        """Grow the tree. order, when given, is column_order(features) and is
+        only read: a caller that fits many trees on one X sorts it once."""
         X, Y = self._fit_inputs(features, labels)
-        m = X.shape[1]
+        n, m = X.shape
         if self.max_features is not None and not 1 <= self.max_features <= m:
             raise ValueError(f"max_features must be in [1, {m}], got {self.max_features}")
+        if self.random_thresholds:
+            order = None  # one random threshold per feature: no sorted scan
+        elif order is None:
+            order = column_order(X)
+        elif order.shape != (m, n):
+            raise ValueError(f"order has shape {order.shape}, expected {(m, n)}")
+        else:
+            order = order.copy()  # partitioned in place below
         self.split_log = []
         self._feature = []
         self._threshold = []
         self._left = []
         self._right = []
         self._value = []
+        train_leaf = np.empty(n, dtype=np.intp)
+        goes_left = np.zeros(n, dtype=bool)
         rng = np.random.default_rng(self.seed)
         # Explicit preorder stack (left child first) instead of recursion:
         # near-duplicate rows can produce trees deeper than Python's
-        # recursion limit.
-        stack = [(np.arange(X.shape[0]), 0, -1, 0)]
+        # recursion limit. A node's rows are ascending and own the positions
+        # lo:lo + rows.size of every row of order.
+        stack = [(np.arange(n), 0, 0, -1, 0)]
         while stack:
-            rows, depth, parent, side = stack.pop()
+            rows, lo, depth, parent, side = stack.pop()
             node = self._new_node()
+            train_leaf[rows] = node  # a split's children overwrite it
             if parent >= 0:
                 if side == 0:
                     self._left[parent] = node
@@ -231,25 +311,33 @@ class CartRegressor(Model):
             if self.random_thresholds:
                 split = self._best_random_split(X, Yn, rows, feats, rng)
             else:
-                split = self._best_midpoint_split(X, Yn, rows, feats)
+                split = self._best_midpoint_split(X, Y, Yn, order[:, lo : lo + rows.size], feats)
             if split is None:
                 continue
-            f, thr, lo, hi = split
+            f, thr, vlo, vhi = split
             mask = X[rows, f] <= thr
             if mask.all() or not mask.any():
                 continue  # degenerate split; keep the node as a leaf
             self.split_log.append(
-                SplitRecord(int(f), float(thr), tuple(int(c) for c in feats), (lo, hi))
+                SplitRecord(int(f), float(thr), tuple(int(c) for c in feats), (vlo, vhi))
             )
             self._feature[node] = int(f)
             self._threshold[node] = float(thr)
-            stack.append((rows[~mask], depth + 1, node, 1))
-            stack.append((rows[mask], depth + 1, node, 0))
+            n_left = int(np.count_nonzero(mask))
+            # only a child that can split reads its segment of the order
+            deeper = self.max_depth is None or depth + 1 < self.max_depth
+            larger = max(n_left, rows.size - n_left)
+            if order is not None and deeper and larger >= max(2, 2 * self.min_samples_leaf):
+                goes_left[rows] = mask
+                _partition(order[:, lo : lo + rows.size], goes_left, n_left)
+            stack.append((rows[~mask], lo + n_left, depth + 1, node, 1))
+            stack.append((rows[mask], lo, depth + 1, node, 0))
         self._feature = np.array(self._feature, dtype=np.intp)
         self._threshold = np.array(self._threshold)
         self._left = np.array(self._left, dtype=np.intp)
         self._right = np.array(self._right, dtype=np.intp)
         self._value = np.array(self._value)
+        self.train_leaf = train_leaf.astype(np.min_scalar_type(self.node_count - 1))
         return self._mark_fitted(m, Y.shape[1])
 
     def _new_node(self):
@@ -260,8 +348,10 @@ class CartRegressor(Model):
         self._value.append(None)
         return len(self._feature) - 1
 
-    def _best_midpoint_split(self, X, Yn, rows, feats):
-        k = rows.size
+    def _best_midpoint_split(self, X, Y, Yn, seg, feats):
+        """The best (feature, threshold, min, max) over feats, or None; seg is
+        the node's part of the column order (its rows, sorted per feature)."""
+        k = Yn.shape[0]
         tot1 = Yn.sum(axis=0)
         tot2 = (Yn * Yn).sum(axis=0)
         sse_node = float((tot2 - tot1 * tot1 / k).sum())
@@ -277,23 +367,31 @@ class CartRegressor(Model):
         best = None
         best_gain = 0.0
         # All candidate features of a block at once, one column each; the
-        # block keeps the (rows, features, outputs) temporaries near 2**14.
-        block = max(1, (1 << 14) // (k * Yn.shape[1]))
+        # block keeps the (rows, features, outputs) temporaries near _BLOCK.
+        block = max(1, _BLOCK // (k * Yn.shape[1]))
         for start in range(0, len(feats), block):
             fb = feats[start : start + block]
-            V = X[rows[:, None], fb]
-            order = np.argsort(V, axis=0, kind="stable")
-            vs = np.take_along_axis(V, order, axis=0)
-            Ys = Yn[order]  # (k, features, outputs)
+            idx = seg[fb].T  # (k, features): each column's rows in value order
+            vs = X[idx, fb]
+            Ys = Y.take(idx, axis=0)  # (k, features, outputs)
             c1 = np.cumsum(Ys, axis=0)[:-1]
             c2 = np.cumsum(Ys * Ys, axis=0)[:-1]
-            sse_l = (c2 - c1 * c1 / n_left[:, None, None]).sum(axis=2)
-            s1r = tot1 - c1
-            s2r = tot2 - c2
-            sse_r = (s2r - s1r * s1r / n_right[:, None, None]).sum(axis=2)
-            gain = sse_node - sse_l - sse_r
             ok = (vs[:-1] != vs[1:]) & size_ok[:, None]
-            gain = np.where(ok, gain, -np.inf)
+            if 2 * np.count_nonzero(ok) < ok.size:
+                # Few distinct values: the gain arithmetic only at candidates.
+                at = np.flatnonzero(ok)  # position j of feature c is j * len(fb) + c
+                c1 = c1.reshape(-1, c1.shape[2]).take(at, axis=0)
+                c2 = c2.reshape(-1, c2.shape[2]).take(at, axis=0)
+                nl = n_left.take(at // len(fb))[:, None]
+                cand = sse_node - _sse(c1, c2, nl)
+                cand -= _sse(tot1 - c1, tot2 - c2, k - nl)
+                gain = np.full(ok.size, -np.inf)
+                gain[at] = cand
+                gain = gain.reshape(ok.shape)
+            else:
+                sse_l = _sse(c1, c2, n_left[:, None, None])
+                sse_r = _sse(tot1 - c1, tot2 - c2, n_right[:, None, None])
+                gain = np.where(ok, sse_node - sse_l - sse_r, -np.inf)
             js = np.argmax(gain, axis=0)  # first max: lowest threshold wins ties
             col_gain = gain[js, np.arange(len(fb))]
             col_gain[np.isnan(col_gain)] = -np.inf  # a NaN gain never wins a feature
@@ -363,6 +461,20 @@ class CartRegressor(Model):
         return len(self._feature)
 
 
+def _partition(seg, goes_left, n_left):
+    """Stably partition every row of seg (node positions of the column order)
+    in place: the rows with goes_left set first, each side in its old order."""
+    k = seg.shape[1]
+    block = max(1, _BLOCK // k)
+    for start in range(0, seg.shape[0], block):
+        part = seg[start : start + block]
+        left = goes_left.take(part).ravel()
+        # compress reads row-major, so each row keeps its order on both sides
+        lhs, rhs = part.compress(left), part.compress(~left)
+        part[:, :n_left] = lhs.reshape(-1, n_left)
+        part[:, n_left:] = rhs.reshape(-1, k - n_left)
+
+
 class GprRegressor(Model):
     """Gaussian-process regression with a squared-exponential kernel.
 
@@ -430,6 +542,14 @@ class GprRegressor(Model):
         return Kq @ self._alpha + self._y_mean
 
 
+def _check_schedule(epochs, learning_rate) -> None:
+    """Raise ValueError naming a training schedule that would not train."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if learning_rate <= 0:
+        raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
+
+
 class LinearSvr(Model):
     """Linear support-vector regression via epoch-ordered subgradient descent.
 
@@ -453,6 +573,7 @@ class LinearSvr(Model):
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         if reg_c <= 0:
             raise ValueError(f"reg_c must be > 0, got {reg_c}")
+        _check_schedule(epochs, learning_rate)
         self.epsilon = epsilon
         self.reg_c = reg_c
         self.epochs = epochs
@@ -543,6 +664,7 @@ class MlpRegressor(Model):
         super().__init__()
         if hidden_units < 1:
             raise ValueError(f"hidden_units must be >= 1, got {hidden_units}")
+        _check_schedule(epochs, learning_rate)
         self.hidden_units = hidden_units
         self.epochs = epochs
         self.learning_rate = learning_rate

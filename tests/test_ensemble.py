@@ -155,6 +155,12 @@ class TestGradientBoosting:
     def test_validation(self):
         with pytest.raises(ValueError):
             GradientBoosting(n_estimators=-1)
+        for cls in (GradientBoosting, HistGradientBoosting):
+            with pytest.raises(ValueError, match="n_estimators must be an integer, got 2.5"):
+                cls(n_estimators=2.5)
+            with pytest.raises(ValueError, match="n_estimators must be an integer, got True"):
+                cls(n_estimators=True)
+        assert GradientBoosting(n_estimators=np.int64(3)).n_estimators == 3
 
 
 class TestHistGradientBoosting:

@@ -101,6 +101,9 @@ class TestEnsembleSpec:
             EnsembleSpec(strategy="voting")
         with pytest.raises(ValueError, match="n_estimators"):
             EnsembleSpec(strategy="bagging", base=("dtr",), n_estimators=0)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match=re.escape(f"n_estimators must be an integer, got {bad!r}")):
+                EnsembleSpec(strategy="boosting-gbr", n_estimators=bad)
         with pytest.raises(ValueError, match="learning_rate"):
             EnsembleSpec(strategy="bagging", base=("dtr",), learning_rate=0.0)
         with pytest.raises(ValueError, match="final"):

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
+from rfloc import regressors
 from rfloc.core import validate_dataset
 from rfloc.ensemble import (
     AdaBoostR2,
@@ -25,7 +26,9 @@ from rfloc.regressors import (
     MlpRegressor,
     Model,
     NotFittedError,
+    SplitRecord,
     cart_fit,
+    column_order,
     fit_on_dataset,
     knn_fit,
     mlp_loss_and_grads,
@@ -75,6 +78,14 @@ class TestModelContract:
             fit_on_dataset(make(), empty)
         with pytest.raises(ValueError, match="12 feature rows vs 11 label rows"):
             make().fit(np.zeros((12, 3)), np.zeros((11, 3)))
+        X, Y = np.zeros((12, 3)), np.zeros((12, 3))
+        X[4, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite features value nan at row 4, column 1"):
+            make().fit(X, Y)
+        X[4, 1] = 0.0
+        Y[7, 2] = -np.inf
+        with pytest.raises(ValueError, match="non-finite labels value -inf at row 7, column 2"):
+            make().fit(X, Y)
 
     @pytest.mark.parametrize("name", sorted(MAKERS))
     def test_every_class_rejects_a_query_of_another_width(self, name):
@@ -196,6 +207,24 @@ class TestKnn:
         assert k == 60 or 0 < beyond.sum() < len(Q)  # both paths run
         got = KnnRegressor(k=k, weighting=weighting).fit(X, Y).predict(Q)
         assert np.array_equal(got, self._stable_argsort_predict(X, Y, Q, k, weighting))
+
+    def test_predict_takes_the_queries_in_bounded_blocks(self, rng, monkeypatch):
+        # 1800 x 4200 queries once held two full query x train arrays (115 MiB)
+        X = rng.normal(size=(4200, 5))
+        Y = rng.normal(size=(4200, 3))
+        Q = rng.normal(size=(1800, 5))
+        m = KnnRegressor().fit(X, Y)
+        tracemalloc.start()
+        try:
+            got = m.predict(Q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        full = 8 * Q.shape[0] * X.shape[0]
+        assert peak < 0.5 * full, f"peak {peak / full:.2f} query x train float64 arrays"
+        for rows_per_block in (1, 7, Q.shape[0]):
+            monkeypatch.setattr(regressors, "_KNN_BLOCK", rows_per_block * X.shape[0])
+            assert np.array_equal(m.predict(Q), got)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -330,6 +359,221 @@ class TestCart:
             CartRegressor().fit(np.zeros((0, 2)), np.zeros((0, 3)))
 
 
+def _reference_midpoint_split(X, Yn, rows, feats, min_samples_leaf):
+    """The midpoint scan before the presorted kernel: each node stably
+    argsorts its own rows, a block of features at a time."""
+    k = rows.size
+    tot1 = Yn.sum(axis=0)
+    tot2 = (Yn * Yn).sum(axis=0)
+    sse_node = float((tot2 - tot1 * tot1 / k).sum())
+    if sse_node <= 0.0:
+        return None
+    n_left = np.arange(1, k)
+    n_right = k - n_left
+    size_ok = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+    if not size_ok.any():
+        return None
+    best = None
+    best_gain = 0.0
+    block = max(1, (1 << 14) // (k * Yn.shape[1]))
+    for start in range(0, len(feats), block):
+        fb = feats[start : start + block]
+        V = X[rows[:, None], fb]
+        order = np.argsort(V, axis=0, kind="stable")
+        vs = np.take_along_axis(V, order, axis=0)
+        Ys = Yn[order]
+        c1 = np.cumsum(Ys, axis=0)[:-1]
+        c2 = np.cumsum(Ys * Ys, axis=0)[:-1]
+        sse_l = (c2 - c1 * c1 / n_left[:, None, None]).sum(axis=2)
+        s1r = tot1 - c1
+        s2r = tot2 - c2
+        sse_r = (s2r - s1r * s1r / n_right[:, None, None]).sum(axis=2)
+        gain = sse_node - sse_l - sse_r
+        ok = (vs[:-1] != vs[1:]) & size_ok[:, None]
+        gain = np.where(ok, gain, -np.inf)
+        js = np.argmax(gain, axis=0)
+        col_gain = gain[js, np.arange(len(fb))]
+        col_gain[np.isnan(col_gain)] = -np.inf
+        c = int(np.argmax(col_gain))
+        if col_gain[c] > best_gain:
+            best_gain = float(col_gain[c])
+            j = js[c]
+            thr = (vs[j, c] + vs[j + 1, c]) / 2.0
+            if thr >= vs[j + 1, c]:
+                thr = vs[j, c]
+            best = (int(fb[c]), float(thr), float(vs[0, c]), float(vs[-1, c]))
+    return best
+
+
+def _reference_cart(X, Y, **params):
+    """A CartRegressor grown by the per-node-argsort kernel (the reference
+    the presorted kernel must match bit for bit)."""
+    tree = CartRegressor(**params)
+    X, Y = tree._fit_inputs(X, Y)
+    m = X.shape[1]
+    feature, threshold, left, right, value, log = [], [], [], [], [], []
+    rng = np.random.default_rng(tree.seed)
+    stack = [(np.arange(X.shape[0]), 0, -1, 0)]
+    while stack:
+        rows, depth, parent, side = stack.pop()
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        if parent >= 0:
+            (left if side == 0 else right)[parent] = node
+        Yn = Y[rows]
+        value.append(Yn.mean(axis=0))
+        if tree.max_depth is not None and depth >= tree.max_depth:
+            continue
+        if rows.size < 2 * tree.min_samples_leaf or rows.size < 2:
+            continue
+        if tree.max_features is not None and tree.max_features < m:
+            feats = np.sort(rng.choice(m, size=tree.max_features, replace=False))
+        else:
+            feats = np.arange(m)
+        if tree.random_thresholds:
+            split = tree._best_random_split(X, Yn, rows, feats, rng)
+        else:
+            split = _reference_midpoint_split(X, Yn, rows, feats, tree.min_samples_leaf)
+        if split is None:
+            continue
+        f, thr, lo, hi = split
+        mask = X[rows, f] <= thr
+        if mask.all() or not mask.any():
+            continue
+        log.append(SplitRecord(int(f), float(thr), tuple(int(c) for c in feats), (lo, hi)))
+        feature[node] = int(f)
+        threshold[node] = float(thr)
+        stack.append((rows[~mask], depth + 1, node, 1))
+        stack.append((rows[mask], depth + 1, node, 0))
+    tree.split_log = log
+    tree._feature = np.array(feature, dtype=np.intp)
+    tree._threshold = np.array(threshold)
+    tree._left = np.array(left, dtype=np.intp)
+    tree._right = np.array(right, dtype=np.intp)
+    tree._value = np.array(value)
+    return tree._mark_fitted(m, Y.shape[1])
+
+
+def _reference_gbr(X, Y, Q, n_estimators, learning_rate=0.1, max_depth=3):
+    """Gradient boosting on reference trees, each stage moving F by the
+    tree's prediction on X: (predictions at Q, train_rmse_path)."""
+    F = np.tile(Y.mean(axis=0), (X.shape[0], 1))
+    out = np.tile(Y.mean(axis=0), (Q.shape[0], 1))
+    path = []
+    trees = [[] for _ in range(Y.shape[1])]
+    for _ in range(n_estimators):
+        for j in range(Y.shape[1]):
+            tree = _reference_cart(X, (Y[:, j] - F[:, j])[:, None], max_depth=max_depth)
+            trees[j].append(tree)
+            F[:, j] += learning_rate * tree.predict(X)[:, 0]
+        path.append(float(np.sqrt(np.mean(np.sum((Y - F) ** 2, axis=1)))))
+    for j in range(Y.shape[1]):
+        for tree in trees[j]:
+            out[:, j] += learning_rate * tree.predict(Q)[:, 0]
+    return out, path
+
+
+def _kernel_case(name, rng):
+    """(X, Y, CartRegressor params) for one bit-identity case."""
+    if name == "tie-heavy-grid":
+        # 2400 rows x 3 outputs scan two features per block; column 6 copies
+        # column 1, so their gains tie across blocks, and stay equal only if
+        # both columns add their tied rows in the same (row) order
+        X = rng.integers(0, 5, size=(2400, 7)).astype(np.float64)
+        X[:, 6] = X[:, 1]
+        return X, rng.normal(size=(2400, 3)), {}
+    if name == "mixed-columns":
+        X = rng.normal(size=(600, 6))
+        X[:, ::2] = rng.integers(0, 6, size=(600, 3))
+        return X, rng.normal(size=(600, 3)), {"max_depth": 7}
+    if name == "adjacent-doubles-min-leaf":
+        lo, hi = 1.0, float(np.nextafter(1.0, 2.0))
+        X = np.column_stack([rng.choice([lo, hi, 2.0], size=90), rng.normal(size=90)])
+        return X, rng.normal(size=(90, 2)), {"min_samples_leaf": 4}
+    if name == "max-features-seeded":
+        return rng.normal(size=(300, 8)), rng.normal(size=(300, 3)), {"max_features": 3, "seed": 11}
+    if name == "bootstrap-duplicates":
+        X = np.round(rng.normal(size=(400, 4)), 1)
+        Y = rng.normal(size=(400, 3))
+        idx = rng.integers(0, 400, size=400)
+        assert np.unique(idx).size < 400
+        return X[idx], Y[idx], {}
+    assert name == "random-thresholds"
+    return rng.normal(size=(200, 5)), rng.normal(size=(200, 3)), {
+        "random_thresholds": True, "max_features": 2, "seed": 4}
+
+
+class TestPresortedCart:
+    @pytest.mark.parametrize("case", ["tie-heavy-grid", "mixed-columns", "adjacent-doubles-min-leaf",
+                                      "max-features-seeded", "bootstrap-duplicates",
+                                      "random-thresholds"])
+    def test_tree_is_bit_identical_to_per_node_sorting(self, rng, case):
+        X, Y, params = _kernel_case(case, rng)
+        got = CartRegressor(**params).fit(X, Y)
+        want = _reference_cart(X, Y, **params)
+        assert got.node_count > 3
+        for name in ("_feature", "_threshold", "_left", "_right", "_value"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+        assert got.split_log == want.split_log
+        # the leaf each training row reached during fit is the one predict finds
+        assert np.array_equal(got._value[got.train_leaf], got.predict(X))
+
+    @pytest.mark.parametrize("outputs", [1, 2, 3, 7, 8, 9, 20])
+    def test_output_sums_match_numpy_bit_for_bit(self, rng, outputs):
+        # magnitudes far apart, so any other order of the additions shows
+        shape = (300, 4, outputs)
+        s1 = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        s2 = s1 * s1 + rng.random(size=shape)
+        count = np.arange(1, 301)[:, None, None]
+        want = (s2 - s1 * s1 / count).sum(axis=2)
+        assert np.array_equal(regressors._sse(s1, s2, count), want)
+
+    def test_a_shared_order_is_read_not_written(self, rng):
+        X = rng.integers(0, 4, size=(200, 3)).astype(np.float64)
+        Y = rng.normal(size=(200, 1))
+        order = column_order(X)
+        assert order.dtype == np.uint8 and order.shape == (3, 200)
+        before = order.copy()
+        a = CartRegressor(max_depth=3).fit(X, Y, order=order)
+        assert np.array_equal(order, before)
+        b = CartRegressor(max_depth=3).fit(X, Y)
+        assert np.array_equal(a._threshold, b._threshold, equal_nan=True)
+        with pytest.raises(ValueError, match=r"order has shape \(3, 199\), expected \(3, 200\)"):
+            CartRegressor().fit(X, Y, order=order[:, 1:])
+
+    @pytest.mark.parametrize("lossless", [False, True], ids=["gbr", "lossless-hgbr"])
+    def test_boosting_is_bit_identical_to_per_node_sorting(self, rng, lossless):
+        # few distinct values, like the stacking meta-features: every node
+        # takes the scan that computes gains only at candidate thresholds
+        X = rng.integers(0, 20, size=(500, 4)).astype(np.float64)
+        Y = rng.normal(size=(500, 3)) + X[:, :1]
+        Q = rng.integers(0, 20, size=(50, 4)).astype(np.float64)
+        cls = HistGradientBoosting if lossless else GradientBoosting
+        model = cls(n_estimators=8).fit(X, Y)
+        want, path = _reference_gbr(X, Y, Q, n_estimators=8)
+        assert np.array_equal(model.predict(Q), want)
+        assert model.train_rmse_path == path
+
+    def test_fit_holds_one_small_order_array(self, rng):
+        # The order is uint16 at n = 4200 and is sorted a block of columns at
+        # a time; an intp order, or one built by a full argsort, fails this.
+        n, m = 4200, 400
+        X = rng.normal(size=(n, m))
+        Y = rng.normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            CartRegressor(max_depth=2).fit(X, Y)  # the root holds the largest scan
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        order_bytes = n * m * 2
+        scan_bytes = 24 * 8 * (1 << 14)  # the split scan's 2**14-element float64 temporaries
+        assert peak < order_bytes + scan_bytes, f"peak {peak / 1e6:.2f} MB"
+
+
 class TestGpr:
     def test_interpolates_training_points(self, rng):
         X = rng.uniform(0, 3, size=(25, 2))
@@ -456,6 +700,10 @@ class TestLinearSvr:
             LinearSvr(epsilon=-0.1)
         with pytest.raises(ValueError):
             LinearSvr(reg_c=0.0)
+        with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
+            LinearSvr(epochs=0)
+        with pytest.raises(ValueError, match="learning_rate must be > 0, got -1"):
+            LinearSvr(learning_rate=-1)
 
 
 class TestMlp:
@@ -518,6 +766,14 @@ class TestMlp:
         a = MlpRegressor(hidden_units=8, epochs=20, seed=3).fit(X, Y)
         b = MlpRegressor(hidden_units=8, epochs=20, seed=3).fit(X, Y)
         assert np.array_equal(a.predict(X), b.predict(X))
+
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError, match="hidden_units must be >= 1, got 0"):
+            MlpRegressor(hidden_units=0)
+        with pytest.raises(ValueError, match="epochs must be >= 1, got -1"):
+            MlpRegressor(epochs=-1)
+        with pytest.raises(ValueError, match="learning_rate must be > 0, got 0.0"):
+            MlpRegressor(learning_rate=0.0)
 
 
 def test_cart_fit_wrapper_passes_depth():

@@ -81,3 +81,22 @@ def test_stacking_fits_bases_and_final_through_the_wrapped_names(monkeypatch):
     registry.fit_model("stacking-gbr[knr+dtr]", toy_dataset(n=30, m=3, seed=0), seed=1)
     # each base on five folds plus the full refit, then the final once
     assert [len(calls[name]) for name in names] == [6, 6, 1]
+
+
+def test_every_boosting_stage_goes_through_cart_fit(monkeypatch):
+    # perfbench's room-stack shape reads regressors.cart.fit.s from these
+    # spans: a stage grown through a private helper would go untimed.
+    from rfloc.ensemble import GradientBoosting
+    from rfloc.regressors import CartRegressor
+
+    calls = []
+    original = CartRegressor.fit
+
+    def spy(self, *args, **kwargs):
+        calls.append(kwargs.get("order") is not None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CartRegressor, "fit", spy)
+    ds = toy_dataset(n=30, m=3, seed=0)
+    GradientBoosting(n_estimators=4).fit(ds.features, ds.labels)
+    assert calls == [True] * 12  # 4 stages x 3 outputs, each given the shared order
