@@ -1,9 +1,12 @@
 """Command-line surface.
 
 Commands: simulate, split, benchmark, select-band, pca, ingest-rtlpower.
-Every option may come from the command line or from a JSON config file given
-with --config; command-line flags win. All stochastic commands require an
-explicit --seed, so a run is fully determined by (arguments, input files).
+Each command's options are rows of one table (COMMANDS). An option's value
+comes from its flag, else from the key of the same name in the JSON object
+given with --config, else from its default, and one parse function turns it
+into a typed value: a config value is parsed as the text its flag would take.
+All stochastic commands require an explicit --seed, so a run is fully
+determined by (arguments, input files).
 Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
 
@@ -11,7 +14,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
+import math
 import sys
+from typing import Callable
 
 from .bandselect import permutation_importance, select_rated_band
 from .core import Position, SensorConfig, grid_positions, train_test_split
@@ -31,12 +37,183 @@ from .io import (
     write_sensor_config_json,
 )
 from .pca import pca_fit, pca_transform
-from .registry import expand_model_ids, fit_model
+from .registry import expand_model_ids, fit_model, parse_model_id
 from .simulate import generate_dataset, make_fullband_scenario, make_reference_scenario
 
 
 class UsageError(Exception):
     """Bad argument values: reported on stderr, exit code 2."""
+
+
+# ---------------------------------------------------------------------------
+# value parsers: flag text -> typed value, or ValueError naming the text
+
+
+def _parser(convert, expected: str, ok=lambda value: True) -> Callable[[str], object]:
+    """A parser returning convert(text) when that succeeds and satisfies ok."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+def _whole(text: str) -> int:
+    """int(text), also for an integral float such as '7.0'."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise ValueError(text)
+    return int(value)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _floats(text: str) -> list[float]:
+    return [_finite(p) for p in text.split(",") if p.strip()]
+
+
+def _integer(minimum: int):
+    return _parser(_whole, f"an integer >= {minimum}", lambda v: v >= minimum)
+
+
+_positive = _parser(_finite, "a number > 0", lambda v: v > 0)
+_fraction = _parser(_finite, "a fraction in (0, 1)", lambda v: 0 < v < 1)
+_numbers = _parser(_floats, "comma-separated numbers")
+_triple = _parser(_floats, "three comma-separated numbers", lambda v: len(v) == 3)
+_grid = _parser(_floats, "nx,ny,spacing with integer nx and ny",
+                lambda v: len(v) == 3 and v[0].is_integer() and v[1].is_integer())
+_boolean = _parser(lambda text: bool(("false", "true").index(text)), "true or false")
+
+
+def _model_id(text: str) -> str:
+    parse_model_id(text)
+    return text
+
+
+def _model_ids(text: str) -> list[str]:
+    ids = expand_model_ids(text)
+    if not ids:
+        raise ValueError(f"expected at least one model id, got {text!r}")
+    return ids
+
+
+def _flag_text(value) -> str:
+    """A config-file value as its flag's text: a string as it is, a list
+    comma-joined, any other JSON value as JSON (7, 2.5, true)."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ",".join(_flag_text(v) for v in value)
+    return json.dumps(value)
+
+
+# ---------------------------------------------------------------------------
+# option tables
+
+
+@dataclasses.dataclass(frozen=True)
+class Option:
+    """One option: --name on the command line, "name" in a config file.
+
+    default is flag text, parsed like a given value; an optional option
+    without a default resolves to None.
+    """
+
+    name: str
+    parse: Callable[[str], object]
+    help: str
+    default: str | None = None
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
+
+    @property
+    def flag_help(self) -> str:
+        if self.required:
+            return f"{self.help} (required)"
+        return self.help if self.default is None else f"{self.help} (default {self.default})"
+
+
+SEED = Option("seed", _integer(0), "seed of every random draw", required=True)
+DATA = Option("data", str, "input dataset CSV", required=True)
+SPLIT = Option("split", _fraction, "train fraction", "0.7")
+
+# command -> (help, options); each command's function is cmd_<command>
+COMMANDS = {
+    "simulate": ("generate a synthetic dataset CSV", (
+        Option("scenario", str, "scenario JSON file"),
+        # the one option given as a bare flag; a config file sets it true or false
+        Option("reference-scenario", _boolean,
+               "use the built-in five-frequency room scenario", "false"),
+        Option("fullband-scenario", _integer(1),
+               "use the built-in wide-scan scenario with this many frequencies"),
+        Option("sensor-config", str, "sensor config JSON (with --scenario)"),
+        Option("grid", _grid, "nx,ny,spacing of the grid for --scenario", "6,5,1.0"),
+        Option("heights", _numbers, "comma-separated grid heights in m", "0.0,1.0"),
+        Option("out", str, "output dataset CSV", required=True),
+        SEED,
+    )),
+    "split": ("split a dataset CSV into train/test CSVs", (
+        DATA,
+        dataclasses.replace(SPLIT, name="train-fraction"),
+        Option("out-train", str, "output train CSV", required=True),
+        Option("out-test", str, "output test CSV", required=True),
+        SEED,
+    )),
+    "benchmark": ("fit and score models on a dataset", (
+        DATA,
+        Option("models", _model_ids, "comma-separated model ids or aliases", required=True),
+        SPLIT,
+        Option("out", str, "output report CSV", required=True),
+        SEED,
+    )),
+    "select-band": ("rank frequencies and emit a reduced config", (
+        DATA,
+        Option("model", _model_id, "model id to rank with", "knr"),
+        Option("top-k", _integer(1), "number of frequencies to keep", required=True),
+        Option("n-repeats", _integer(1), "shuffle repeats per frequency", "5"),
+        SPLIT,
+        Option("out-importance", str, "output importance CSV", required=True),
+        Option("out-config", str, "output sensor config JSON", required=True),
+        Option("sensor-config", str,
+               "sensor config JSON the data was captured under; its band must equal the "
+               "CSV header, and the output keeps its step, rate and sample count "
+               "(without it: the header's even step, 2.4e6 Hz, 100 samples)"),
+        SEED,
+    )),
+    "pca": ("project a dataset onto principal components", (
+        DATA,
+        Option("n-components", _integer(1), "component count", "3"),
+        Option("out", str, "output scores CSV", required=True),
+    )),
+    "ingest-rtlpower": ("convert rtl_power scans to dataset rows", (
+        Option("scan", str, "rtl_power CSV file", required=True),
+        Option("position", _triple, "x,y,z label for the scan rows", required=True),
+        Option("band", _numbers,
+               "comma-separated band frequencies in MHz (without it: the scan grid)"),
+        Option("step-mhz", _positive,
+               "match tolerance is step/2 (without it: 2.4 with --band, else the scan step)"),
+        Option("out", str, "dataset CSV to append to", required=True),
+    )),
+}
+
+_CONFIG_KEYS = frozenset(opt.name for _, options in COMMANDS.values() for opt in options)
 
 
 def _config_object(payload) -> dict:
@@ -45,145 +222,93 @@ def _config_object(payload) -> dict:
     return payload
 
 
-def _load_config(path: str | None) -> dict:
-    return {} if path is None else read_json(path, _config_object)
+def resolve_options(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed command's options, typed: each from its flag, else its
+    --config key, else its default. A JSON null counts as absent.
 
-
-def _opt(args, cfg: dict, name: str, default=None, required: bool = False):
-    """Resolve one option: command-line flag, else config file, else default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is None:
-        value = cfg.get(name, default)
-    if value is None and required:
-        raise UsageError(f"missing required option --{name} (or config key '{name}')")
-    return value
-
-
-def _parse_triple(text: str, what: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"{what} must be three comma-separated numbers, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise UsageError(f"{what} contains a non-numeric value: {text!r}") from None
-
-
-def _parse_float_list(text, what: str) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    try:
-        return [float(p) for p in str(text).split(",") if p.strip()]
-    except ValueError:
-        raise UsageError(f"{what} contains a non-numeric value: {text!r}") from None
+    Raises UsageError naming --<name> for a bad or missing value, and naming
+    a config key that is an option of no command; a key of another command
+    is ignored, so one config file can serve several commands.
+    """
+    config = {} if args.config is None else read_json(args.config, _config_object)
+    unknown = ", ".join(repr(key) for key in sorted(set(config) - _CONFIG_KEYS))
+    if unknown:
+        raise UsageError(f"config key {unknown} is not an option of any command")
+    values = {}
+    for opt in args.options:
+        raw = getattr(args, opt.dest)
+        if raw is None:
+            raw = config.get(opt.name)
+        if raw is None:
+            raw = opt.default
+        if raw is None and opt.required:
+            raise UsageError(f"missing required option --{opt.name} (or config key '{opt.name}')")
+        try:
+            values[opt.dest] = None if raw is None else opt.parse(_flag_text(raw))
+        except ValueError as exc:
+            raise UsageError(f"--{opt.name}: {exc}") from None
+    return argparse.Namespace(**values)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _opt(args, cfg, "seed", required=True)
-    seed = int(seed)
-    out = _opt(args, cfg, "out", required=True)
-
-    scenario_path = _opt(args, cfg, "scenario")
-    use_reference = bool(_opt(args, cfg, "reference-scenario", False))
-    fullband = _opt(args, cfg, "fullband-scenario")
-    chosen = sum([scenario_path is not None, use_reference, fullband is not None])
+def cmd_simulate(opts) -> int:
+    chosen = sum([opts.scenario is not None, opts.reference_scenario,
+                  opts.fullband_scenario is not None])
     if chosen != 1:
         raise UsageError(
             "exactly one of --scenario, --reference-scenario, --fullband-scenario is required"
         )
 
-    if use_reference:
-        scenario, sensor, positions = make_reference_scenario(seed)
-    elif fullband is not None:
-        scenario, sensor, positions = make_fullband_scenario(seed, int(fullband))
+    if opts.reference_scenario:
+        scenario, sensor, positions = make_reference_scenario(opts.seed)
+    elif opts.fullband_scenario is not None:
+        scenario, sensor, positions = make_fullband_scenario(opts.seed, opts.fullband_scenario)
     else:
-        scenario = read_scenario_json(scenario_path)
-        scenario = dataclasses.replace(scenario, rng_seed=seed)
-        sensor_path = _opt(args, cfg, "sensor-config")
-        if sensor_path is None:
+        scenario = read_scenario_json(opts.scenario)
+        scenario = dataclasses.replace(scenario, rng_seed=opts.seed)
+        if opts.sensor_config is None:
             raise UsageError("--sensor-config is required with --scenario")
-        sensor = read_sensor_config_json(sensor_path)
-        grid = _opt(args, cfg, "grid", "6,5,1.0")
-        gx, gy, spacing = _parse_triple(str(grid), "--grid")
-        heights = _parse_float_list(_opt(args, cfg, "heights", "0.0,1.0"), "--heights")
-        positions = grid_positions(scenario.room_dims, (int(gx), int(gy)), spacing, heights)
+        sensor = read_sensor_config_json(opts.sensor_config)
+        nx, ny, spacing = opts.grid
+        positions = grid_positions(scenario.room_dims, (nx, ny), spacing, opts.heights)
 
     data = generate_dataset(scenario, sensor, positions)
-    write_dataset_csv(data, out)
-    print(f"wrote {out}: n={data.n} samples, m={data.m} frequencies, {len(positions)} positions")
+    write_dataset_csv(data, opts.out)
+    print(f"wrote {opts.out}: n={data.n} samples, m={data.m} frequencies, "
+          f"{len(positions)} positions")
     return 0
 
 
-def cmd_split(args) -> int:
-    cfg = _load_config(args.config)
-    seed = int(_opt(args, cfg, "seed", required=True))
-    data_path = _opt(args, cfg, "data", required=True)
-    out_train = _opt(args, cfg, "out-train", required=True)
-    out_test = _opt(args, cfg, "out-test", required=True)
-    fraction = float(_opt(args, cfg, "train-fraction", 0.7))
-    if not 0.0 < fraction < 1.0:
-        raise UsageError(f"--train-fraction must be in (0, 1), got {fraction}")
-
-    split = train_test_split(read_dataset_csv(data_path), fraction, seed)
-    write_dataset_csv(split.train, out_train)
-    write_dataset_csv(split.test, out_test)
-    print(f"wrote {out_train} ({split.train.n} rows) and {out_test} ({split.test.n} rows)")
+def cmd_split(opts) -> int:
+    split = train_test_split(read_dataset_csv(opts.data), opts.train_fraction, opts.seed)
+    write_dataset_csv(split.train, opts.out_train)
+    write_dataset_csv(split.test, opts.out_test)
+    print(f"wrote {opts.out_train} ({split.train.n} rows) and "
+          f"{opts.out_test} ({split.test.n} rows)")
     return 0
 
 
-def cmd_benchmark(args) -> int:
-    cfg = _load_config(args.config)
-    seed = int(_opt(args, cfg, "seed", required=True))
-    data_path = _opt(args, cfg, "data", required=True)
-    out = _opt(args, cfg, "out", required=True)
-    fraction = float(_opt(args, cfg, "split", 0.7))
-    if not 0.0 < fraction < 1.0:
-        raise UsageError(f"--split must be in (0, 1), got {fraction}")
-    models_opt = _opt(args, cfg, "models", required=True)
-    try:
-        model_ids = expand_model_ids(models_opt)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if not model_ids:
-        raise UsageError("--models resolved to an empty list")
-
-    split = train_test_split(read_dataset_csv(data_path), fraction, seed)
-    reports = benchmark(model_ids, split, seed=seed)
-    write_benchmark_csv(reports, out)
+def cmd_benchmark(opts) -> int:
+    split = train_test_split(read_dataset_csv(opts.data), opts.split, opts.seed)
+    reports = benchmark(opts.models, split, seed=opts.seed)
+    write_benchmark_csv(reports, opts.out)
     print(format_report_table(reports))
     failures = [r for r in reports if r.error is not None]
     for r in failures:
         print(f"note: {r.model_id} failed: {r.error}", file=sys.stderr)
-    print(f"wrote {out}")
+    print(f"wrote {opts.out}")
     return 0
 
 
-def cmd_select_band(args) -> int:
-    cfg = _load_config(args.config)
-    seed = int(_opt(args, cfg, "seed", required=True))
-    data_path = _opt(args, cfg, "data", required=True)
-    out_importance = _opt(args, cfg, "out-importance", required=True)
-    out_config = _opt(args, cfg, "out-config", required=True)
-    model_id = _opt(args, cfg, "model", "knr")
-    top_k = int(_opt(args, cfg, "top-k", required=True))
-    n_repeats = int(_opt(args, cfg, "n-repeats", 5))
-    fraction = float(_opt(args, cfg, "split", 0.7))
-    if top_k < 1:
-        raise UsageError(f"--top-k must be >= 1, got {top_k}")
-    if n_repeats < 1:
-        raise UsageError(f"--n-repeats must be >= 1, got {n_repeats}")
-
-    data = read_dataset_csv(data_path)
-    if top_k > data.m:
-        raise ValueError(f"--top-k ({top_k}) exceeds the dataset's {data.m} frequencies")
-    sensor_path = _opt(args, cfg, "sensor-config")
-    if sensor_path is not None:
-        base = read_sensor_config_json(sensor_path)
+def cmd_select_band(opts) -> int:
+    data = read_dataset_csv(opts.data)
+    if opts.top_k > data.m:
+        raise ValueError(f"--top-k ({opts.top_k}) exceeds the dataset's {data.m} frequencies")
+    if opts.sensor_config is not None:
+        base = read_sensor_config_json(opts.sensor_config)
         _check_band_matches(base.band_mhz, data.frequencies_mhz)
     else:
         base = SensorConfig(
@@ -192,15 +317,15 @@ def cmd_select_band(args) -> int:
             sample_rate_hz=2.4e6,
             samples_per_position=100,
         )
-    split = train_test_split(data, fraction, seed)
-    model = fit_model(model_id, split.train, seed=seed)
-    report = permutation_importance(model, split.test, n_repeats=n_repeats, seed=seed)
-    rated = select_rated_band(report, top_k, base=base)
-    write_importance_csv(report, out_importance)
-    write_sensor_config_json(rated, out_config)
+    split = train_test_split(data, opts.split, opts.seed)
+    model = fit_model(opts.model, split.train, seed=opts.seed)
+    report = permutation_importance(model, split.test, n_repeats=opts.n_repeats, seed=opts.seed)
+    rated = select_rated_band(report, opts.top_k, base=base)
+    write_importance_csv(report, opts.out_importance)
+    write_sensor_config_json(rated, opts.out_config)
     print(
-        f"wrote {out_importance} and {out_config}: band {data.m} -> {rated.n_frequencies} "
-        f"frequencies ({', '.join(str(f) for f in rated.band_mhz)} MHz)"
+        f"wrote {opts.out_importance} and {opts.out_config}: band {data.m} -> "
+        f"{rated.n_frequencies} frequencies ({', '.join(str(f) for f in rated.band_mhz)} MHz)"
     )
     return 0
 
@@ -245,46 +370,31 @@ def _regular_step(band) -> float:
     return step
 
 
-def cmd_pca(args) -> int:
-    cfg = _load_config(args.config)
-    data_path = _opt(args, cfg, "data", required=True)
-    out = _opt(args, cfg, "out", required=True)
-    r = int(_opt(args, cfg, "n-components", 3))
-    if r < 1:
-        raise UsageError(f"--n-components must be >= 1, got {r}")
-
-    data = read_dataset_csv(data_path)
-    model = pca_fit(data.features, r)
+def cmd_pca(opts) -> int:
+    data = read_dataset_csv(opts.data)
+    model = pca_fit(data.features, opts.n_components)
     scores = pca_transform(model, data.features)
-    write_pca_csv(scores, data.labels, out)
+    write_pca_csv(scores, data.labels, opts.out)
     ratios = " ".join(f"{v:.6f}" for v in model.explained_ratio)
-    print(f"wrote {out}: {r} components, explained variance ratios {ratios}")
+    print(f"wrote {opts.out}: {opts.n_components} components, explained variance ratios {ratios}")
     return 0
 
 
-def cmd_ingest_rtlpower(args) -> int:
-    cfg = _load_config(args.config)
-    scan_path = _opt(args, cfg, "scan", required=True)
-    out = _opt(args, cfg, "out", required=True)
-    position_opt = _opt(args, cfg, "position", required=True)
-    position = Position(*_parse_triple(str(position_opt), "--position"))
-
-    rows = read_rtlpower_scan(scan_path)
-    band_opt = _opt(args, cfg, "band")
-    step_opt = _opt(args, cfg, "step-mhz")
-    if band_opt is not None:
-        band = sorted(_parse_float_list(band_opt, "--band"))
-        step = float(step_opt) if step_opt is not None else 2.4
+def cmd_ingest_rtlpower(opts) -> int:
+    rows = read_rtlpower_scan(opts.scan)
+    step = opts.step_mhz
+    if opts.band is not None:
+        band = sorted(opts.band)
+        step = 2.4 if step is None else step
     else:
         freqs = rows[0][0]
         band = [float(f) for f in freqs]
-        step = float(step_opt) if step_opt is not None else float(freqs[1] - freqs[0]) if freqs.size > 1 else 2.4
-    if step <= 0:
-        raise UsageError(f"--step-mhz must be > 0, got {step}")
+        if step is None:
+            step = float(freqs[1] - freqs[0]) if freqs.size > 1 else 2.4
 
-    data = rtlpower_rows_to_dataset(rows, band, step, position)
-    append_dataset_csv(data, out)
-    print(f"appended {data.n} rows ({data.m} frequencies) to {out}")
+    data = rtlpower_rows_to_dataset(rows, band, step, Position(*opts.position))
+    append_dataset_csv(data, opts.out)
+    print(f"appended {data.n} rows ({data.m} frequencies) to {opts.out}")
     return 0
 
 
@@ -293,71 +403,20 @@ def cmd_ingest_rtlpower(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, one plain-string flag per option row."""
     parser = argparse.ArgumentParser(
         prog="rfloc",
         description="Passive-RF indoor positioning: simulate, benchmark, select bands.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON file of option defaults (flags override)")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("simulate", cmd_simulate, "generate a synthetic dataset CSV")
-    p.add_argument("--scenario", help="scenario JSON file")
-    p.add_argument("--reference-scenario", action="store_const", const=True,
-                   help="use the built-in five-frequency room scenario")
-    p.add_argument("--fullband-scenario", type=int, metavar="N_FREQS",
-                   help="use the built-in wide-scan scenario with N_FREQS frequencies")
-    p.add_argument("--sensor-config", help="sensor config JSON (with --scenario)")
-    p.add_argument("--grid", help="nx,ny,spacing for --scenario (default 6,5,1.0)")
-    p.add_argument("--heights", help="comma-separated grid heights in m (default 0.0,1.0)")
-    p.add_argument("--out", help="output dataset CSV path")
-    p.add_argument("--seed", type=int, help="generation seed (required)")
-
-    p = add("split", cmd_split, "split a dataset CSV into train/test CSVs")
-    p.add_argument("--data", help="input dataset CSV")
-    p.add_argument("--train-fraction", type=float, help="train fraction (default 0.7)")
-    p.add_argument("--out-train", help="output train CSV")
-    p.add_argument("--out-test", help="output test CSV")
-    p.add_argument("--seed", type=int, help="shuffle seed (required)")
-
-    p = add("benchmark", cmd_benchmark, "fit and score models on a dataset")
-    p.add_argument("--data", help="input dataset CSV")
-    p.add_argument("--models", help="comma-separated model ids or aliases")
-    p.add_argument("--split", type=float, help="train fraction (default 0.7)")
-    p.add_argument("--out", help="output report CSV")
-    p.add_argument("--seed", type=int, help="split/fit seed (required)")
-
-    p = add("select-band", cmd_select_band, "rank frequencies and emit a reduced config")
-    p.add_argument("--data", help="input dataset CSV")
-    p.add_argument("--model", help="model id to rank with (default knr)")
-    p.add_argument("--top-k", type=int, help="number of frequencies to keep (required)")
-    p.add_argument("--n-repeats", type=int, help="shuffle repeats per frequency (default 5)")
-    p.add_argument("--split", type=float, help="train fraction (default 0.7)")
-    p.add_argument("--out-importance", help="output importance CSV")
-    p.add_argument("--out-config", help="output sensor config JSON")
-    p.add_argument("--sensor-config",
-                   help="sensor config JSON the data was captured under; its band must "
-                        "equal the CSV header, and the output keeps its step, rate and "
-                        "sample count (default: the header's even step, 2.4e6 Hz, "
-                        "100 samples)")
-    p.add_argument("--seed", type=int, help="split/fit/shuffle seed (required)")
-
-    p = add("pca", cmd_pca, "project a dataset onto principal components")
-    p.add_argument("--data", help="input dataset CSV")
-    p.add_argument("--n-components", type=int, help="component count (default 3)")
-    p.add_argument("--out", help="output scores CSV")
-
-    p = add("ingest-rtlpower", cmd_ingest_rtlpower, "convert rtl_power scans to dataset rows")
-    p.add_argument("--scan", help="rtl_power CSV file")
-    p.add_argument("--position", help="x,y,z label for the scan rows")
-    p.add_argument("--band", help="comma-separated band frequencies in MHz (default: scan grid)")
-    p.add_argument("--step-mhz", type=float, help="match tolerance is step/2 (default 2.4)")
-    p.add_argument("--out", help="dataset CSV to append to")
-
+    for command, (text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON object of option values keyed by name (flags win)")
+        for opt in options:
+            bare = {"action": "store_const", "const": "true"} if opt.parse is _boolean else {}
+            p.add_argument(f"--{opt.name}", help=opt.flag_help, **bare)
+        # looked up now rather than at import, so a wrapper set on cmd_* is the one called
+        p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")], options=options)
     return parser
 
 
@@ -368,7 +427,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        return args.func(resolve_options(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,12 +47,20 @@ _TUNING_READ = {
 DEFAULT_STACK_BASES = ("svr", "knr", "gpr", "dtr", "mlp", "abr", "gbr", "hgbr", "rfr", "ert")
 
 
-def _check_count(name: str, value, minimum: int) -> None:
-    """Raise ValueError naming value unless it is an int (not a bool) >= minimum."""
+def _check_count(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Raise ValueError naming value unless it is an int (not a bool) >= minimum
+    and, when maximum is given, <= maximum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def _check_learning_rate(value) -> None:
+    """Raise ValueError naming value unless it is a real number in (0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= 1.0:
+        raise ValueError(f"learning_rate must be in (0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,12 +88,9 @@ class EnsembleSpec:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         _check_count("n_estimators", self.n_estimators, 1)
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if not 2 <= self.max_bins <= 256:
-            raise ValueError(f"max_bins must be in [2, 256], got {self.max_bins}")
-        if self.n_folds < 2:
-            raise ValueError(f"n_folds must be >= 2, got {self.n_folds}")
+        _check_learning_rate(self.learning_rate)
+        _check_count("max_bins", self.max_bins, 2, 256)
+        _check_count("n_folds", self.n_folds, 2)
         defaults = {f.name: f.default for f in fields(self)}
         for name in _TUNING_FIELDS:
             value = getattr(self, name)
@@ -118,8 +123,12 @@ class EnsembleSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleSpec":
-        """Inverse of to_dict; absent keys take the field defaults."""
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        """Inverse of to_dict; absent keys take the field defaults, and a key
+        that is no field raises ValueError naming it."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"EnsembleSpec has no field {', '.join(map(repr, unknown))}")
+        return cls(**d)
 
 
 def weighted_median(predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -185,6 +194,7 @@ class AdaBoostR2(_BuilderEnsemble):
 
     def __init__(self, base_builder, n_estimators: int = 50, seed: int = 0):
         super().__init__()
+        _check_count("n_estimators", n_estimators, 1)
         self.base_builder = base_builder
         self.n_estimators = n_estimators
         self.seed = seed
@@ -252,6 +262,7 @@ class GradientBoosting(Model):
     ):
         super().__init__()
         _check_count("n_estimators", n_estimators, 0)
+        _check_learning_rate(learning_rate)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -279,7 +290,7 @@ class GradientBoosting(Model):
         out = np.tile(self._base_value, (features.shape[0], 1))
         for j, trees in enumerate(self._trees):
             for tree in trees:
-                out[:, j] += self.learning_rate * tree.predict(features)[:, 0]
+                out[:, j] += self.learning_rate * tree._predict(features)[:, 0]
         return out
 
 
@@ -311,8 +322,7 @@ class HistGradientBoosting(GradientBoosting):
         max_depth: int | None = 3,
         max_bins: int = 256,
     ):
-        if not 2 <= max_bins <= 256:
-            raise ValueError(f"max_bins must be in [2, 256], got {max_bins}")
+        _check_count("max_bins", max_bins, 2, 256)
         super().__init__(n_estimators, learning_rate, max_depth)
         self.max_bins = max_bins
 
@@ -343,6 +353,7 @@ class BaggingEnsemble(_BuilderEnsemble):
 
     def __init__(self, base_builder, n_estimators: int = 100, bootstrap: bool = True, seed: int = 0):
         super().__init__()
+        _check_count("n_estimators", n_estimators, 1)
         self.base_builder = base_builder
         self.n_estimators = n_estimators
         self.bootstrap = bootstrap
@@ -409,8 +420,7 @@ class StackingEnsemble(_BuilderEnsemble):
         super().__init__()
         if not base_builders:
             raise ValueError("stacking requires at least one base estimator")
-        if n_folds < 2:
-            raise ValueError(f"n_folds must be >= 2, got {n_folds}")
+        _check_count("n_folds", n_folds, 2)
         self.base_builders = list(base_builders)
         self.final_builder = final_builder
         self.n_folds = n_folds

@@ -382,3 +382,121 @@ class TestConfigFile:
 
 def test_unknown_command_exits_with_usage(capsys):
     assert main(["frobnicate"]) == 2
+
+
+# Every required option of each command, as flags ({d} is a directory); a
+# case drops the one it probes.
+_VALID_FLAGS = {
+    "simulate": {"fullband-scenario": "40", "out": "{d}/o.csv", "seed": "1"},
+    "split": {"data": "{d}/d.csv", "out-train": "{d}/a.csv", "out-test": "{d}/b.csv", "seed": "1"},
+    "benchmark": {"data": "{d}/d.csv", "models": "knr", "out": "{d}/o.csv", "seed": "1"},
+    "select-band": {"data": "{d}/d.csv", "top-k": "2", "out-importance": "{d}/i.csv",
+                    "out-config": "{d}/c.json", "seed": "1"},
+    "pca": {"data": "{d}/d.csv", "out": "{d}/o.csv"},
+    "ingest-rtlpower": {"scan": "{d}/s.csv", "position": "0,0,0", "out": "{d}/o.csv"},
+}
+
+
+def _argv(command, directory, drop=None):
+    argv = [command]
+    for key, value in _VALID_FLAGS[command].items():
+        if key != drop:
+            argv += [f"--{key}", value.format(d=directory)]
+    return argv
+
+
+class TestConfigValuesParseLikeFlags:
+    @pytest.mark.parametrize("command, key, value, flag_text", [
+        ("simulate", "seed", 7.9, "7.9"),
+        ("simulate", "seed", True, "true"),
+        ("simulate", "seed", "x", "x"),
+        ("simulate", "seed", -1, "-1"),
+        ("simulate", "fullband-scenario", 40.5, "40.5"),
+        ("simulate", "reference-scenario", "no", None),
+        ("simulate", "grid", [2.5, 2, 1.0], "2.5,2,1.0"),
+        ("simulate", "heights", [0.0, "x"], "0.0,x"),
+        ("pca", "n-components", 2.7, "2.7"),
+        ("pca", "n-components", 0, "0"),
+        ("split", "train-fraction", 1.5, "1.5"),
+        ("benchmark", "split", 1.5, "1.5"),
+        ("benchmark", "models", ["knr", "nope"], "knr,nope"),
+        ("select-band", "split", 1.5, "1.5"),
+        ("select-band", "split", "nan", "nan"),
+        ("select-band", "top-k", 0, "0"),
+        ("select-band", "n-repeats", False, "false"),
+        ("select-band", "model", "zzz", "zzz"),
+        ("ingest-rtlpower", "position", [1, 2], "1,2"),
+        ("ingest-rtlpower", "band", {"a": 1}, '{"a": 1}'),
+        ("ingest-rtlpower", "step-mhz", -0.2, "-0.2"),
+    ])
+    def test_bad_value_is_a_usage_error_naming_the_option(
+        self, tmp_path, capsys, command, key, value, flag_text
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(_argv(command, tmp_path, drop=key) + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"--{key}" in err
+        if flag_text is not None:
+            assert main(_argv(command, tmp_path, drop=key) + [f"--{key}", flag_text]) == 2
+            assert capsys.readouterr().err == err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_unknown_key_is_refused_by_name(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeed": 3}))
+        assert main(_argv("simulate", tmp_path) + ["--config", str(cfg)]) == 2
+        assert "'seeed'" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_another_commands_key_is_ignored(self, tmp_path):
+        data = _write_toy(tmp_path)
+        out = tmp_path / "pca.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": data, "out": str(out), "seed": 3, "top-k": 9,
+                                   "models": "nope", "n-components": None}))
+        assert main(["pca", "--config", str(cfg)]) == 0
+        assert out.read_text().splitlines()[0] == "pc1,pc2,pc3,x,y,z"
+
+    def test_json_lists_match_their_flags(self, tmp_path, small_scene):
+        scene, sensor = small_scene
+        data = _write_toy(tmp_path)
+        scan = TestIngestRtlPower()._scan(tmp_path)
+        runs = [
+            ("benchmark", {"data": data, "models": ["knr", "dtr"], "seed": 0}, "bench.csv"),
+            ("simulate", {"scenario": scene, "sensor-config": sensor, "grid": [2, 2, 1.0],
+                          "heights": [0.0, 1.0], "seed": 3}, "sim.csv"),
+            ("ingest-rtlpower", {"scan": scan, "position": [1.0, 2.0, 0.0], "band": [91.2],
+                                 "step-mhz": 2.4}, "field.csv"),
+        ]
+        for command, options, name in runs:
+            blobs = []
+            for how in ("flags", "config"):
+                out = tmp_path / how / name
+                out.parent.mkdir(exist_ok=True)
+                if how == "flags":
+                    argv = [command, "--out", str(out)]
+                    for key, value in options.items():
+                        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                        argv += [f"--{key}", text]
+                else:
+                    cfg = tmp_path / how / f"{command}.json"
+                    cfg.write_text(json.dumps({**options, "out": str(out)}))
+                    argv = [command, "--config", str(cfg)]
+                assert main(argv) == 0
+                lines = out.read_text().splitlines()
+                if command == "benchmark":  # drop the wall-clock fit-time column
+                    lines = [ln.rsplit(",", 1)[0] for ln in lines]
+                blobs.append(lines)
+            assert blobs[0] == blobs[1]
+        bench = (tmp_path / "config" / "bench.csv").read_text().splitlines()
+        assert [ln.split(",")[0] for ln in bench[1:]] == ["knr", "dtr"]
+
+
+def test_main_looks_up_the_command_function_when_it_runs(monkeypatch):
+    import rfloc.cli
+
+    seen = []
+    monkeypatch.setattr(rfloc.cli, "cmd_pca", lambda opts: seen.append(opts) or 0)
+    assert main(["pca", "--data", "d.csv", "--out", "o.csv"]) == 0
+    assert [(o.data, o.out, o.n_components) for o in seen] == [("d.csv", "o.csv", 3)]

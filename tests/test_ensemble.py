@@ -1,6 +1,7 @@
 """Ensemble strategies: hand-worked rounds, equivalences, plan reuse."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,20 @@ class TestGradientBoosting:
             with pytest.raises(ValueError, match="n_estimators must be an integer, got True"):
                 cls(n_estimators=True)
         assert GradientBoosting(n_estimators=np.int64(3)).n_estimators == 3
+
+
+    def test_predict_walks_the_stage_trees_without_rechecking_the_query(self, monkeypatch):
+        ds = toy_dataset(n=40, m=3, seed=6)
+        m = fit_on_dataset(GradientBoosting(n_estimators=4, learning_rate=0.3), ds)
+        want = np.tile(m._base_value, (5, 1))
+        for j, trees in enumerate(m._trees):
+            for tree in trees:
+                want[:, j] += m.learning_rate * tree.predict(ds.features[:5])[:, 0]
+        calls = []
+        real = CartRegressor.predict
+        monkeypatch.setattr(CartRegressor, "predict", lambda self, X: calls.append(1) or real(self, X))
+        assert np.array_equal(m.predict(ds.features[:5]), want)
+        assert calls == []
 
 
 class TestHistGradientBoosting:
@@ -396,3 +411,32 @@ class TestStacking:
 
         with pytest.raises(ValueError, match="fold 0"):
             fit_on_dataset(StackingEnsemble([bad], lambda sub, seed: None), toy_dataset(n=20, m=2))
+
+
+class TestConstructorChecks:
+    """Counts and the learning rate are checked when an ensemble is built,
+    with the same helpers EnsembleSpec uses."""
+
+    def test_bad_values_are_named(self):
+        tree = lambda sub, seed: cart_fit(sub)
+        cases = [
+            (lambda: AdaBoostR2(tree, n_estimators=-3), "n_estimators must be >= 1, got -3"),
+            (lambda: AdaBoostR2(tree, n_estimators=2.5), "n_estimators must be an integer, got 2.5"),
+            (lambda: BaggingEnsemble(tree, n_estimators=0), "n_estimators must be >= 1, got 0"),
+            (lambda: RandomForest(n_estimators=0), "n_estimators must be >= 1, got 0"),
+            (lambda: ExtraTrees(n_estimators=True), "n_estimators must be an integer, got True"),
+            (lambda: GradientBoosting(learning_rate=-1), "learning_rate must be in (0, 1], got -1"),
+            (lambda: GradientBoosting(learning_rate=1.5), "learning_rate must be in (0, 1], got 1.5"),
+            (lambda: HistGradientBoosting(learning_rate=0.0), "learning_rate must be in (0, 1], got 0.0"),
+            (lambda: HistGradientBoosting(max_bins=2.5), "max_bins must be an integer, got 2.5"),
+            (lambda: StackingEnsemble([tree], tree, n_folds=2.5), "n_folds must be an integer, got 2.5"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
+
+    def test_edge_values_stay_valid(self):
+        GradientBoosting(n_estimators=0, learning_rate=1.0)
+        HistGradientBoosting(max_bins=2)
+        HistGradientBoosting(max_bins=np.int64(256))
+        StackingEnsemble([lambda sub, seed: None], lambda sub, seed: None, n_folds=np.int64(2))

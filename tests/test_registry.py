@@ -109,6 +109,26 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError, match="final"):
             EnsembleSpec(strategy="stacking")
 
+    def test_from_dict_refuses_an_unknown_key(self):
+        with pytest.raises(ValueError, match="EnsembleSpec has no field 'nestimators'"):
+            EnsembleSpec.from_dict({"strategy": "boosting-gbr", "nestimators": 7})
+        assert EnsembleSpec.from_dict({"strategy": "boosting-gbr", "n_estimators": 7}).n_estimators == 7
+
+    def test_counts_are_integers(self):
+        cases = [
+            ({"strategy": "boosting-hgbr", "max_bins": 2.5}, "max_bins must be an integer, got 2.5"),
+            ({"strategy": "boosting-hgbr", "max_bins": True}, "max_bins must be an integer, got True"),
+            ({"strategy": "boosting-hgbr", "max_bins": 257}, "max_bins must be in [2, 256], got 257"),
+            ({"strategy": "stacking", "final": "dtr", "base": ("dtr",), "n_folds": 2.5},
+             "n_folds must be an integer, got 2.5"),
+            ({"strategy": "stacking", "final": "dtr", "n_folds": 1}, "n_folds must be >= 2, got 1"),
+            ({"strategy": "boosting-gbr", "learning_rate": "0.1"},
+             "learning_rate must be in (0, 1], got '0.1'"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                EnsembleSpec(**kwargs)
+
     def test_fields_the_strategy_never_reads_are_rejected(self):
         cases = [
             ("random-forest", {"max_depth": 1}, "max_depth=1"),
