@@ -4,7 +4,9 @@ The sensing loop pre-samples a wide band, ranks every monitored frequency by
 how much shuffling its feature column degrades test RMSE (permutation
 importance), then reconfigures the sensor to the few highest-impact
 frequencies. Shuffling is model-agnostic and exactly reproducible, which is
-why it is used here as the ranking step. One cycle is normally enough while
+why it is used here as the ranking step. Only the columns a model reads
+(Model.used_features) are shuffled; a tree over a wide band reads a fraction
+of them, and every other column scores 0.0 without a predict. One cycle is normally enough while
 the ambient transmitters stay put; callers can run further cycles on the
 reduced band if the environment changes.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, SensorConfig, _child_rng, _child_seed, train_test_split
+from .core import Dataset, SensorConfig, _check_count, _child_rng, _child_seed, train_test_split
 from .evaluate import EvalReport, evaluate_model, rmse
 
 
@@ -36,8 +38,7 @@ class ImportanceReport:
             raise ValueError(
                 f"{len(self.frequencies_mhz)} frequencies vs {len(self.scores_m)} scores"
             )
-        if self.n_repeats < 1:
-            raise ValueError(f"n_repeats must be >= 1, got {self.n_repeats}")
+        _check_count("n_repeats", self.n_repeats, 1)
 
 
 def permutation_importance(model, test: Dataset, n_repeats: int = 5, seed: int = 0) -> ImportanceReport:
@@ -46,10 +47,12 @@ def permutation_importance(model, test: Dataset, n_repeats: int = 5, seed: int =
     score_j = mean over repeats of (RMSE with column j permuted - baseline
     RMSE). Each (column, repeat) pair gets an independent derived shuffle, so
     scores are reproducible and independent of evaluation order. A model that
-    ignores a column scores exactly 0 on it.
+    ignores a column scores exactly 0 on it: only the columns in
+    model.used_features() are shuffled and predicted, and every other column
+    is written 0.0 without a predict. A model without used_features has every
+    column shuffled. n_repeats must be an integer >= 1.
     """
-    if n_repeats < 1:
-        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
+    _check_count("n_repeats", n_repeats, 1)
     model_freqs = getattr(model, "frequencies_mhz", None)
     if model_freqs is not None and tuple(model_freqs) != tuple(test.frequencies_mhz):
         raise ValueError(
@@ -60,8 +63,9 @@ def permutation_importance(model, test: Dataset, n_repeats: int = 5, seed: int =
     X = np.asarray(test.features, dtype=np.float64)
     baseline = rmse(test.labels, model.predict(X))
     scores = np.zeros(test.m)
+    used = getattr(model, "used_features", None)
     work = X.copy()
-    for j in range(test.m):
+    for j in range(test.m) if used is None else used():
         increase = 0.0
         for r in range(n_repeats):
             work[:, j] = X[_child_rng(seed, j, r).permutation(test.n), j]

@@ -7,6 +7,7 @@ hold coordinates in meters with the origin at one floor corner of the room.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,16 @@ def _child_seed(*keys) -> int:
 def _child_rng(*keys) -> np.random.Generator:
     """A generator seeded from integer keys, independent of any other keys."""
     return np.random.default_rng(np.random.SeedSequence(list(keys)))
+
+
+def _check_count(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Raise ValueError naming value unless it is an int (not a bool) >= minimum
+    and, when maximum is given, <= maximum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import Dataset, _child_rng, _child_seed, validate_dataset
-from .regressors import CartRegressor, Model, column_order, fit_on_dataset
+from .core import Dataset, _check_count, _child_rng, _child_seed, validate_dataset
+from .regressors import CartRegressor, Model, _check_max_depth, column_order, fit_on_dataset
 
 STRATEGIES = (
     "boosting-abr",
@@ -47,16 +47,6 @@ _TUNING_READ = {
 DEFAULT_STACK_BASES = ("svr", "knr", "gpr", "dtr", "mlp", "abr", "gbr", "hgbr", "rfr", "ert")
 
 
-def _check_count(name: str, value, minimum: int, maximum: int | None = None) -> None:
-    """Raise ValueError naming value unless it is an int (not a bool) >= minimum
-    and, when maximum is given, <= maximum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum or (maximum is not None and value > maximum):
-        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-
-
 def _check_learning_rate(value) -> None:
     """Raise ValueError naming value unless it is a real number in (0, 1]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= 1.0:
@@ -67,10 +57,11 @@ def _check_learning_rate(value) -> None:
 class EnsembleSpec:
     """Declarative description of one ensemble configuration.
 
-    base and final hold model ids. boosting-abr and bagging take exactly one
-    base, gbr, hgbr, random-forest and extra-trees take none, and stacking
-    takes a final plus one or more bases (DEFAULT_STACK_BASES when empty).
-    A tuning field the strategy never reads must keep its default.
+    base and final hold model ids, each checked with parse_model_id when the
+    spec is built. boosting-abr and bagging take exactly one base, gbr, hgbr,
+    random-forest and extra-trees take none, and stacking takes a final plus
+    one or more bases (DEFAULT_STACK_BASES when empty). A tuning field the
+    strategy never reads must keep its default.
     """
 
     strategy: str
@@ -91,6 +82,7 @@ class EnsembleSpec:
         _check_learning_rate(self.learning_rate)
         _check_count("max_bins", self.max_bins, 2, 256)
         _check_count("n_folds", self.n_folds, 2)
+        _check_max_depth(self.max_depth)
         defaults = {f.name: f.default for f in fields(self)}
         for name in _TUNING_FIELDS:
             value = getattr(self, name)
@@ -101,18 +93,27 @@ class EnsembleSpec:
                 raise ValueError("stacking requires a final estimator id")
             if not self.base:
                 object.__setattr__(self, "base", DEFAULT_STACK_BASES)
-            return
-        if self.final is not None:
+        elif self.final is not None:
             raise ValueError(
                 f"only stacking takes a final estimator id; {self.strategy} got final={self.final!r}"
             )
-        if self.strategy in ("boosting-abr", "bagging"):
+        elif self.strategy in ("boosting-abr", "bagging"):
             if len(self.base) != 1:
                 raise ValueError(
                     f"{self.strategy} takes exactly one base estimator id, got base={self.base!r}"
                 )
         elif self.base:
             raise ValueError(f"{self.strategy} takes no base estimator ids, got base={self.base!r}")
+        from .registry import parse_model_id
+
+        members = self.base if self.final is None else (*self.base, self.final)
+        for model_id in members:
+            if not isinstance(model_id, str):
+                raise ValueError(f"{self.strategy} member ids must be strings, got {model_id!r}")
+            try:
+                parse_model_id(model_id)
+            except ValueError as exc:
+                raise ValueError(f"{self.strategy} member id {model_id!r}: {exc}") from exc
 
     def tuning(self) -> dict:
         """The tuning fields this spec's strategy reads, by name."""
@@ -159,11 +160,18 @@ def _build(builder, train: Dataset, seed: int, where: str) -> Model:
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _used_by(models) -> np.ndarray:
+    """The sorted union of the columns that models read."""
+    used = [m.used_features() for m in models]
+    return np.unique(np.concatenate(used)) if used else np.arange(0)
+
+
 class _BuilderEnsemble(Model):
     """An ensemble whose members come from (train: Dataset, seed) builders.
 
     Subclasses implement _fit_members(train); fit wraps raw arrays in a
-    Dataset with placeholder frequencies 1..m.
+    Dataset with placeholder frequencies 1..m. A prediction reads the
+    columns its members_ read.
     """
 
     def fit(self, features, labels):
@@ -177,6 +185,9 @@ class _BuilderEnsemble(Model):
 
     def _fit_members(self, train: Dataset) -> None:
         raise NotImplementedError
+
+    def _used_features(self):
+        return _used_by(self.members_)
 
 
 class AdaBoostR2(_BuilderEnsemble):
@@ -263,6 +274,7 @@ class GradientBoosting(Model):
         super().__init__()
         _check_count("n_estimators", n_estimators, 0)
         _check_learning_rate(learning_rate)
+        _check_max_depth(max_depth)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -292,6 +304,10 @@ class GradientBoosting(Model):
             for tree in trees:
                 out[:, j] += self.learning_rate * tree._predict(features)[:, 0]
         return out
+
+    def _used_features(self):
+        # hgbr bins column by column, so its trees' columns are its own
+        return _used_by(tree for trees in self._trees for tree in trees)
 
 
 def quantile_bin_edges(col: np.ndarray, max_bins: int) -> np.ndarray:
@@ -443,6 +459,10 @@ class StackingEnsemble(_BuilderEnsemble):
     def _predict(self, features):
         meta = np.hstack([m.predict(features) for m in self.full_bases_])
         return self.final_.predict(meta)
+
+    def _used_features(self):
+        # the final estimator reads only the bases' predictions
+        return _used_by(self.full_bases_)
 
 
 @dataclass

@@ -79,12 +79,6 @@ def _crc(s: str) -> int:
     return zlib.crc32(s.encode("utf-8"))
 
 
-def _nested(model_id: str) -> str:
-    """A base or final id inside another id: validated, kept verbatim."""
-    parse_model_id(model_id)
-    return model_id
-
-
 def _stacking_parts(rest: str) -> tuple[str, tuple[str, ...]]:
     """Split '<final>[a+b+...]' into the final id and the base ids.
 
@@ -112,8 +106,9 @@ def _stacking_parts(rest: str) -> tuple[str, tuple[str, ...]]:
 def parse_model_id(model_id: str):
     """Parse one id (see the module grammar) into a base id or an EnsembleSpec.
 
-    Nested ids are validated recursively and kept verbatim in the spec's
-    base/final fields. Raises ValueError naming an unknown id or an alias.
+    Nested ids are kept verbatim in the spec's base/final fields, and the
+    spec validates them recursively. Raises ValueError naming an unknown id
+    or an alias.
     """
     mid = model_id.strip().lower()
     if mid in ALIASES:
@@ -125,16 +120,14 @@ def parse_model_id(model_id: str):
     if mid == "abr":
         mid = "abr-dtr"
     if mid.startswith("abr-"):
-        return EnsembleSpec(strategy="boosting-abr", base=(_nested(mid[len("abr-") :]),), n_estimators=50)
+        return EnsembleSpec(strategy="boosting-abr", base=(mid[len("abr-") :],), n_estimators=50)
     if mid.startswith("bagging-"):
-        return EnsembleSpec(strategy="bagging", base=(_nested(mid[len("bagging-") :]),))
+        return EnsembleSpec(strategy="bagging", base=(mid[len("bagging-") :],))
     if mid.startswith("stacking-"):
         final, bases = mid[len("stacking-") :], DEFAULT_STACK_BASES
         if final.endswith("]"):
             final, bases = _stacking_parts(final)
-        return EnsembleSpec(
-            strategy="stacking", base=tuple(_nested(b) for b in bases), final=_nested(final)
-        )
+        return EnsembleSpec(strategy="stacking", base=bases, final=final)
     raise ValueError(f"unknown model id {model_id!r}; valid ids: {_VALID_SUMMARY}")
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
-from .core import Dataset
+from .core import Dataset, _check_count
 
 
 class NotFittedError(RuntimeError):
@@ -27,7 +27,8 @@ class Model:
 
     A fit converts and checks its inputs with _fit_inputs and ends with
     _mark_fitted; a model is fitted once n_features is set. predict accepts
-    only non-empty 2-D queries of the fitted width.
+    only non-empty 2-D queries of the fitted width. used_features names the
+    columns its predictions read: all of them, unless a subclass can tell.
     """
 
     kind = "model"
@@ -76,9 +77,12 @@ class Model:
         self.n_outputs = n_outputs
         return self
 
-    def predict(self, features) -> np.ndarray:
+    def _check_fitted(self) -> None:
         if self.n_features is None:
             raise NotFittedError(f"{type(self).__name__} is not fitted")
+
+    def predict(self, features) -> np.ndarray:
+        self._check_fitted()
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(f"query features must be 2-D, got ndim={features.ndim}")
@@ -93,6 +97,15 @@ class Model:
 
     def _predict(self, features) -> np.ndarray:
         raise NotImplementedError
+
+    def used_features(self) -> np.ndarray:
+        """The sorted indices of the columns a prediction can depend on: two
+        queries that differ only in other columns get the same prediction."""
+        self._check_fitted()
+        return self._used_features()
+
+    def _used_features(self) -> np.ndarray:
+        return np.arange(self.n_features)
 
 
 def fit_on_dataset(model: Model, train: Dataset) -> Model:
@@ -221,6 +234,12 @@ def _sse(s1, s2, count):
     return total
 
 
+def _check_max_depth(max_depth) -> None:
+    """Raise ValueError naming max_depth unless it is None or an int >= 0."""
+    if max_depth is not None:
+        _check_count("max_depth", max_depth, 0)
+
+
 class CartRegressor(Model):
     """Greedy binary regression tree on variance reduction.
 
@@ -249,8 +268,7 @@ class CartRegressor(Model):
         seed: int | None = None,
     ):
         super().__init__()
-        if max_depth is not None and max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+        _check_max_depth(max_depth)
         if min_samples_leaf < 1:
             raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
         self.max_depth = max_depth
@@ -455,6 +473,9 @@ class CartRegressor(Model):
             go_left = features[active, f] <= self._threshold[cur]
             node[active] = np.where(go_left, self._left[cur], self._right[cur])
         return self._value[node]
+
+    def _used_features(self):
+        return np.unique(self._feature[self._feature >= 0])
 
     @property
     def node_count(self) -> int:

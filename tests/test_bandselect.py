@@ -1,5 +1,7 @@
 """Permutation ranking and sensor-band reconfiguration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from rfloc.bandselect import (
     permutation_importance,
     select_rated_band,
 )
-from rfloc.core import SensorConfig, validate_dataset
+from rfloc.core import SensorConfig, _child_rng, train_test_split, validate_dataset
 from rfloc.evaluate import rmse
-from rfloc.regressors import knn_fit
+from rfloc.registry import fit_model
+from rfloc.regressors import CartRegressor, fit_on_dataset, knn_fit
 from rfloc.simulate import generate_dataset, make_fullband_scenario
 
 from conftest import toy_dataset
@@ -85,6 +88,120 @@ class TestPermutationImportance:
             permutation_importance(_ColumnModel(), ds, n_repeats=0)
         with pytest.raises(ValueError):
             ImportanceReport((1.0, 2.0), (0.1,), 1, 0, 0.5)
+        for bad in (2.5, True, "3"):
+            message = re.escape(f"n_repeats must be an integer, got {bad!r}")
+            with pytest.raises(ValueError, match=message):
+                permutation_importance(_ColumnModel(), ds, n_repeats=bad)
+            with pytest.raises(ValueError, match=message):
+                ImportanceReport((1.0,), (0.1,), bad, 0, 0.5)
+        with pytest.raises(ValueError, match="n_repeats must be >= 1, got 0"):
+            permutation_importance(_ColumnModel(), ds, n_repeats=0)
+        rep = permutation_importance(_ColumnModel(), ds, n_repeats=np.int64(2))
+        assert rep.n_repeats == 2
+
+
+def _all_columns_importance(model, test, n_repeats, seed):
+    """Reference ranking: shuffle and predict every column, whatever the model
+    reads. Returns (scores, baseline)."""
+    X = np.asarray(test.features, dtype=np.float64)
+    baseline = rmse(test.labels, model.predict(X))
+    scores = np.zeros(test.m)
+    work = X.copy()
+    for j in range(test.m):
+        increase = 0.0
+        for r in range(n_repeats):
+            work[:, j] = X[_child_rng(seed, j, r).permutation(test.n), j]
+            increase += rmse(test.labels, model.predict(work)) - baseline
+        work[:, j] = X[:, j]
+        scores[j] = increase / n_repeats
+    return tuple(float(s) for s in scores), baseline
+
+
+def _counting_predict(monkeypatch, model):
+    """Count the predicts made on model itself (not on its members)."""
+    calls = []
+    real = model.predict
+    monkeypatch.setattr(model, "predict", lambda X: calls.append(1) or real(X))
+    return calls
+
+
+RANKED_IDS = ("dtr", "gbr", "hgbr", "rfr", "ert", "abr", "bagging-dtr", "stacking-gbr[knr+dtr]", "knr")
+
+
+# The last bins of the ranking set read a flat level, as a dead receiver bin
+# would: no tree can split on them, so every model but knr skips them.
+FLAT_BINS = 4
+
+
+@pytest.fixture(scope="module")
+def fullband_split():
+    scenario, config, positions = make_fullband_scenario(0, n_frequencies=24)
+    data = generate_dataset(scenario, config, positions)
+    data = data.subset(np.arange(0, data.n, 100))
+    X = data.features.copy()
+    X[:, -FLAT_BINS:] = X[:, -FLAT_BINS:].mean(axis=0)
+    data = validate_dataset(X, data.labels, data.frequencies_mhz)
+    return train_test_split(data, 0.7, seed=1)
+
+
+@pytest.fixture(scope="module")
+def ranked_models(fullband_split):
+    return {mid: fit_model(mid, fullband_split.train, seed=3) for mid in RANKED_IDS}
+
+
+class TestUsedColumnsOnly:
+    """permutation_importance shuffles only the columns in used_features()."""
+
+    @pytest.mark.parametrize("mid", RANKED_IDS)
+    def test_scores_equal_the_all_columns_reference(self, mid, ranked_models, fullband_split):
+        model, test = ranked_models[mid], fullband_split.test
+        rep = permutation_importance(model, test, n_repeats=3, seed=4)
+        scores, baseline = _all_columns_importance(model, test, 3, 4)
+        assert rep.scores_m == scores
+        assert rep.baseline_rmse_m == baseline
+        unused = np.setdiff1d(np.arange(test.m), model.used_features())
+        assert all(rep.scores_m[j] == 0.0 for j in unused)
+
+    @pytest.mark.parametrize("mid", RANKED_IDS)
+    def test_one_predict_per_used_column_and_repeat(self, mid, ranked_models, fullband_split, monkeypatch):
+        model = ranked_models[mid]
+        calls = _counting_predict(monkeypatch, model)
+        permutation_importance(model, fullband_split.test, n_repeats=3, seed=4)
+        assert len(calls) == 1 + 3 * len(model.used_features())
+
+    @pytest.mark.parametrize("mid", RANKED_IDS)
+    def test_columns_outside_used_features_do_not_move_predict(self, mid, ranked_models, fullband_split):
+        model, X = ranked_models[mid], fullband_split.test.features
+        want = model.predict(X)
+        unused = np.setdiff1d(np.arange(X.shape[1]), model.used_features())
+        if "knr" in mid:  # knr reads every column, and so does a stacking over it
+            assert unused.size == 0
+        else:
+            assert set(range(X.shape[1] - FLAT_BINS, X.shape[1])) <= set(unused)
+        rng = np.random.default_rng(0)
+        work = X.copy()
+        for j in unused:
+            work[:, j] = X[rng.permutation(len(X)), j]
+            assert np.array_equal(model.predict(work), want), j
+        work[:, unused] = rng.normal(size=(len(X), unused.size))
+        assert np.array_equal(model.predict(work), want)
+
+    def test_a_model_without_used_features_has_every_column_shuffled(self, monkeypatch):
+        ds = _column_driven_dataset(m=4)
+        model = _ColumnModel()
+        calls = _counting_predict(monkeypatch, model)
+        rep = permutation_importance(model, ds, n_repeats=2, seed=0)
+        assert len(calls) == 1 + 2 * 4
+        assert rep.scores_m[1:] == (0.0, 0.0, 0.0)
+
+    def test_a_model_that_reads_no_column_predicts_once(self, monkeypatch):
+        ds = _column_driven_dataset(m=3)
+        stump = fit_on_dataset(CartRegressor(max_depth=0), ds)
+        assert stump.used_features().size == 0
+        calls = _counting_predict(monkeypatch, stump)
+        rep = permutation_importance(stump, ds, n_repeats=4, seed=0)
+        assert len(calls) == 1
+        assert rep.scores_m == (0.0, 0.0, 0.0)
 
 
 class TestSelectRatedBand:

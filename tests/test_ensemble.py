@@ -430,13 +430,64 @@ class TestConstructorChecks:
             (lambda: HistGradientBoosting(learning_rate=0.0), "learning_rate must be in (0, 1], got 0.0"),
             (lambda: HistGradientBoosting(max_bins=2.5), "max_bins must be an integer, got 2.5"),
             (lambda: StackingEnsemble([tree], tree, n_folds=2.5), "n_folds must be an integer, got 2.5"),
+            (lambda: GradientBoosting(max_depth=2.5), "max_depth must be an integer, got 2.5"),
+            (lambda: GradientBoosting(max_depth=True), "max_depth must be an integer, got True"),
+            (lambda: HistGradientBoosting(max_depth="3"), "max_depth must be an integer, got '3'"),
+            (lambda: HistGradientBoosting(max_depth=-1), "max_depth must be >= 0, got -1"),
         ]
         for build, message in cases:
             with pytest.raises(ValueError, match=re.escape(message)):
                 build()
 
     def test_edge_values_stay_valid(self):
-        GradientBoosting(n_estimators=0, learning_rate=1.0)
+        GradientBoosting(n_estimators=0, learning_rate=1.0, max_depth=0)
+        HistGradientBoosting(max_depth=None)
         HistGradientBoosting(max_bins=2)
         HistGradientBoosting(max_bins=np.int64(256))
         StackingEnsemble([lambda sub, seed: None], lambda sub, seed: None, n_folds=np.int64(2))
+
+
+def _split_features(tree):
+    return {r.feature for r in tree.split_log}
+
+
+class TestUsedFeatures:
+    """An ensemble reads the union of the columns its members read."""
+
+    @staticmethod
+    def _data(rng):
+        X = rng.normal(size=(60, 6))
+        X[:, 4] = -2.0  # constant: no tree splits on it
+        return _dataset(X, X[:, :3] * 2.0 + rng.normal(size=(60, 3)) * 0.1)
+
+    def test_boosting_reads_the_union_of_its_stage_trees(self, rng):
+        ds = self._data(rng)
+        for cls in (GradientBoosting, HistGradientBoosting):
+            m = fit_on_dataset(cls(n_estimators=3, max_depth=1), ds)
+            want = set().union(*(_split_features(t) for trees in m._trees for t in trees))
+            assert list(m.used_features()) == sorted(want), cls.__name__
+            assert 4 not in want
+        assert fit_on_dataset(GradientBoosting(n_estimators=0), ds).used_features().size == 0
+
+    def test_member_ensembles_read_the_union_of_their_members(self, rng):
+        ds = self._data(rng)
+        stump = lambda sub, seed: cart_fit(sub, max_depth=1)
+        for m in (
+            fit_on_dataset(AdaBoostR2(stump, n_estimators=4, seed=1), ds),
+            fit_on_dataset(BaggingEnsemble(stump, n_estimators=4, seed=1), ds),
+            fit_on_dataset(RandomForest(n_estimators=3, max_features=2, seed=1), ds),
+            fit_on_dataset(ExtraTrees(n_estimators=3, seed=1), ds),
+        ):
+            want = set().union(*(_split_features(t) for t in m.members_))
+            assert list(m.used_features()) == sorted(want), m.kind
+            assert 4 not in want
+
+    def test_stacking_reads_its_full_bases_not_its_final(self, rng):
+        ds = self._data(rng)
+        stump = lambda sub, seed: cart_fit(sub, max_depth=1)
+        m = fit_on_dataset(StackingEnsemble([stump, stump], lambda sub, seed: cart_fit(sub), n_folds=2), ds)
+        want = set().union(*(_split_features(t) for t in m.full_bases_))
+        assert list(m.used_features()) == sorted(want)
+        assert 4 not in want
+        knn = fit_on_dataset(StackingEnsemble([stump, lambda sub, seed: knn_fit(sub)], stump, n_folds=2), ds)
+        assert list(knn.used_features()) == list(range(6))

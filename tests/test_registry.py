@@ -109,6 +109,26 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError, match="final"):
             EnsembleSpec(strategy="stacking")
 
+    def test_member_ids_are_checked_when_the_spec_is_built(self):
+        cases = [
+            ({"strategy": "bagging", "base": ("zzz",)}, "bagging member id 'zzz': unknown model id 'zzz'"),
+            ({"strategy": "boosting-abr", "base": ("knn",)}, "boosting-abr member id 'knn'"),
+            ({"strategy": "stacking", "base": ("dtr",), "final": "zzz"},
+             "stacking member id 'zzz': unknown model id 'zzz'"),
+            ({"strategy": "stacking", "final": "knr", "base": ("dtr", "bagging-zzz")},
+             "stacking member id 'bagging-zzz': bagging member id 'zzz': unknown model id 'zzz'"),
+            ({"strategy": "stacking", "final": "stacking-gbr[knr+zzz]"},
+             "stacking member id 'stacking-gbr[knr+zzz]': stacking member id 'zzz'"),
+            ({"strategy": "bagging", "base": ("baseline-all",)}, "alias 'baseline-all' must be expanded"),
+            ({"strategy": "bagging", "base": (3,)}, "bagging member ids must be strings, got 3"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                EnsembleSpec(**kwargs)
+        with pytest.raises(ValueError, match="'zzz'"):
+            EnsembleSpec.from_dict({"strategy": "bagging", "base": ["zzz"]})
+        assert EnsembleSpec("bagging", base=("abr-knr",)).base == ("abr-knr",)
+
     def test_from_dict_refuses_an_unknown_key(self):
         with pytest.raises(ValueError, match="EnsembleSpec has no field 'nestimators'"):
             EnsembleSpec.from_dict({"strategy": "boosting-gbr", "nestimators": 7})
@@ -124,6 +144,10 @@ class TestEnsembleSpec:
             ({"strategy": "stacking", "final": "dtr", "n_folds": 1}, "n_folds must be >= 2, got 1"),
             ({"strategy": "boosting-gbr", "learning_rate": "0.1"},
              "learning_rate must be in (0, 1], got '0.1'"),
+            ({"strategy": "boosting-gbr", "max_depth": 2.5}, "max_depth must be an integer, got 2.5"),
+            ({"strategy": "boosting-gbr", "max_depth": True}, "max_depth must be an integer, got True"),
+            ({"strategy": "boosting-hgbr", "max_depth": "3"}, "max_depth must be an integer, got '3'"),
+            ({"strategy": "boosting-hgbr", "max_depth": -1}, "max_depth must be >= 0, got -1"),
         ]
         for kwargs, message in cases:
             with pytest.raises(ValueError, match=re.escape(message)):

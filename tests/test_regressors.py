@@ -1,5 +1,6 @@
 """Base regressors: hand-checked values, brute-force oracles, invariants."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,18 @@ class TestModelContract:
         assert model.n_features is None
         with pytest.raises(NotFittedError, match=f"{type(model).__name__} is not fitted"):
             model.predict(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_used_features_needs_a_fit_and_names_sorted_columns(self, name):
+        with pytest.raises(NotFittedError, match="is not fitted"):
+            MAKERS[name]().used_features()
+        ds = toy_dataset(n=12, m=3, seed=2)
+        used = fit_on_dataset(MAKERS[name](), ds).used_features()
+        assert used.dtype.kind == "i"
+        assert np.array_equal(used, np.unique(used))
+        assert set(used) <= {0, 1, 2}
+        if name in ("knr", "gpr", "svr", "mlp"):
+            assert np.array_equal(used, [0, 1, 2])
 
     @pytest.mark.parametrize("name", sorted(MAKERS))
     def test_every_class_rejects_bad_training_sets(self, name):
@@ -348,9 +361,23 @@ class TestCart:
                 lo, hi = r.value_range
                 assert lo < r.threshold < hi
 
+    def test_used_features_are_the_split_features(self, rng):
+        X = rng.normal(size=(80, 6))
+        X[:, 2] = 1.5  # constant: no split can use it
+        m = CartRegressor(max_depth=3).fit(X, rng.normal(size=(80, 3)))
+        assert np.array_equal(m.used_features(), sorted({r.feature for r in m.split_log}))
+        assert 2 not in m.used_features()
+        assert CartRegressor(max_depth=0).fit(X, X[:, :3]).used_features().size == 0
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             CartRegressor(max_depth=-1)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match=re.escape(f"max_depth must be an integer, got {bad!r}")):
+                CartRegressor(max_depth=bad)
+        with pytest.raises(ValueError, match="max_depth must be >= 0, got -1"):
+            CartRegressor(max_depth=-1)
+        assert CartRegressor(max_depth=np.int64(2)).max_depth == 2
         with pytest.raises(ValueError):
             CartRegressor(min_samples_leaf=0)
         with pytest.raises(ValueError):
