@@ -273,7 +273,7 @@ def cmd_simulate(opts) -> int:
             raise UsageError("--sensor-config is required with --scenario")
         sensor = read_sensor_config_json(opts.sensor_config)
         nx, ny, spacing = opts.grid
-        positions = grid_positions(scenario.room_dims, (nx, ny), spacing, opts.heights)
+        positions = grid_positions(scenario.room_dims, (int(nx), int(ny)), spacing, opts.heights)
 
     data = generate_dataset(scenario, sensor, positions)
     write_dataset_csv(data, opts.out)

@@ -7,8 +7,9 @@ hold coordinates in meters with the origin at one floor corner of the room.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,31 @@ def _check_count(name: str, value, minimum: int, maximum: int | None = None) -> 
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
+def _check_real(name: str, value, ok=lambda v: True, expected: str = "a finite number") -> None:
+    """Raise ValueError "{name} must be {expected}, got {value!r}" unless value
+    is a finite real number (not a bool) for which ok(value) holds."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or not ok(value)):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+def _check_band(name: str, band) -> tuple[float, ...]:
+    """band as a tuple of floats; raises ValueError naming the index and the
+    value unless every frequency is finite, > 0 and above the one before it."""
+    band = tuple(band)
+    for i, f in enumerate(band):
+        _check_real(f"{name}[{i}]", f, lambda v: v > 0, "> 0")
+        if i and f <= band[i - 1]:
+            raise ValueError(
+                f"{name} must be strictly increasing; violation at index {i} "
+                f"({f} <= {band[i - 1]})"
+            )
+    return tuple(float(f) for f in band)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """a made read-only in place (copied first only if it is not a C-ordered
+    float64 array): only for arrays that no caller holds."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
     return a
@@ -55,25 +80,13 @@ class SensorConfig:
     reconfig_index: int = 0
 
     def __post_init__(self):
-        band = tuple(float(f) for f in self.band_mhz)
-        object.__setattr__(self, "band_mhz", band)
-        if len(band) == 0:
+        object.__setattr__(self, "band_mhz", _check_band("band_mhz", self.band_mhz))
+        if not self.band_mhz:
             raise ValueError("band must be non-empty")
-        for i, f in enumerate(band):
-            if not np.isfinite(f) or f <= 0:
-                raise ValueError(f"band frequency at index {i} must be finite and > 0, got {f}")
-        for i in range(1, len(band)):
-            if band[i] <= band[i - 1]:
-                raise ValueError(
-                    f"band must be strictly increasing; violation at index {i} "
-                    f"({band[i]} <= {band[i - 1]})"
-                )
-        if self.step_mhz <= 0:
-            raise ValueError(f"step_mhz must be > 0, got {self.step_mhz}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
-        if self.samples_per_position < 0:
-            raise ValueError(f"samples_per_position must be >= 0, got {self.samples_per_position}")
+        _check_real("step_mhz", self.step_mhz, lambda v: v > 0, "> 0")
+        _check_real("sample_rate_hz", self.sample_rate_hz, lambda v: v > 0, "> 0")
+        _check_count("samples_per_position", self.samples_per_position, 0)
+        _check_count("reconfig_index", self.reconfig_index, 0)
 
     @property
     def n_frequencies(self) -> int:
@@ -90,10 +103,8 @@ class Position:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ValueError(f"coordinate {name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
+            _check_real(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
@@ -142,14 +153,22 @@ class SplitDataset:
 
 
 def validate_dataset(features, labels, frequencies_mhz) -> Dataset:
-    """Check feature/label/frequency consistency and build a Dataset.
+    """Check feature/label/frequency consistency and build a Dataset of
+    read-only copies; the arrays given are left as they are.
 
     Raises ValueError naming the offending dimension, index, or entry.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    freqs = tuple(float(f) for f in frequencies_mhz)
+    return _owned_dataset(
+        np.array(features, dtype=np.float64, order="C"),
+        np.array(labels, dtype=np.float64, order="C"),
+        frequencies_mhz,
+    )
 
+
+def _owned_dataset(features: np.ndarray, labels: np.ndarray, frequencies_mhz) -> Dataset:
+    """validate_dataset for float64 arrays that no caller holds: the Dataset
+    takes them over, made read-only in place rather than copied."""
+    freqs = tuple(frequencies_mhz)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got ndim={features.ndim}")
     if labels.ndim != 2 or labels.shape[1] != 3:
@@ -164,12 +183,7 @@ def validate_dataset(features, labels, frequencies_mhz) -> Dataset:
             f"feature width {features.shape[1]} does not match "
             f"{len(freqs)} frequencies"
         )
-    for i in range(1, len(freqs)):
-        if freqs[i] <= freqs[i - 1]:
-            raise ValueError(
-                f"frequencies must be strictly increasing; violation at index {i} "
-                f"({freqs[i]} <= {freqs[i - 1]})"
-            )
+    freqs = _check_band("frequencies_mhz", freqs)
     for name, arr in (("features", features), ("labels", labels)):
         bad = ~np.isfinite(arr)
         if bad.any():
@@ -191,15 +205,15 @@ def grid_positions(room_dims, counts, spacing, heights) -> list[Position]:
     Row-major order: x varies fastest, then y, then height.
     """
     length, width, height = (float(v) for v in room_dims)
-    nx, ny = (int(c) for c in counts)
-    spacing = float(spacing)
-    heights = [float(h) for h in heights]
-    if nx < 1 or ny < 1:
-        raise ValueError(f"grid counts must be >= 1, got ({nx}, {ny})")
-    if spacing <= 0:
-        raise ValueError(f"spacing must be > 0, got {spacing}")
+    nx, ny = counts
+    _check_count("counts[0]", nx, 1)
+    _check_count("counts[1]", ny, 1)
+    _check_real("spacing", spacing, lambda v: v > 0, "> 0")
+    heights = tuple(heights)
     if not heights:
         raise ValueError("heights must be non-empty")
+    for k, h in enumerate(heights):
+        _check_real(f"heights[{k}]", h, lambda v: 0 <= v <= height, f"in [0, {height}] (the room height)")
 
     span_x = (nx - 1) * spacing
     span_y = (ny - 1) * spacing
@@ -207,9 +221,6 @@ def grid_positions(room_dims, counts, spacing, heights) -> list[Position]:
         raise ValueError(f"grid span {span_x} m along x exceeds room length {length} m")
     if span_y > width:
         raise ValueError(f"grid span {span_y} m along y exceeds room width {width} m")
-    for h in heights:
-        if h < 0 or h > height:
-            raise ValueError(f"height {h} m outside room [0, {height}]")
 
     margin_x = (length - span_x) / 2.0
     margin_y = (width - span_y) / 2.0

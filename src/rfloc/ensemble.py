@@ -10,14 +10,13 @@ from the ensemble seed, making every strategy bit-reproducible.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import Dataset, _check_count, _child_rng, _child_seed, validate_dataset
-from .regressors import CartRegressor, Model, _check_max_depth, column_order, fit_on_dataset
+from .core import Dataset, _check_count, _check_real, _child_rng, _child_seed, validate_dataset
+from .regressors import CartRegressor, Model, column_order, fit_on_dataset
 
 STRATEGIES = (
     "boosting-abr",
@@ -47,12 +46,6 @@ _TUNING_READ = {
 DEFAULT_STACK_BASES = ("svr", "knr", "gpr", "dtr", "mlp", "abr", "gbr", "hgbr", "rfr", "ert")
 
 
-def _check_learning_rate(value) -> None:
-    """Raise ValueError naming value unless it is a real number in (0, 1]."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= 1.0:
-        raise ValueError(f"learning_rate must be in (0, 1], got {value!r}")
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Declarative description of one ensemble configuration.
@@ -79,10 +72,12 @@ class EnsembleSpec:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         _check_count("n_estimators", self.n_estimators, 1)
-        _check_learning_rate(self.learning_rate)
+        _check_real("learning_rate", self.learning_rate, lambda v: 0 < v <= 1, "in (0, 1]")
         _check_count("max_bins", self.max_bins, 2, 256)
         _check_count("n_folds", self.n_folds, 2)
-        _check_max_depth(self.max_depth)
+        if self.max_depth is not None:
+            _check_count("max_depth", self.max_depth, 0)
+        _check_count("seed", self.seed, 0)
         defaults = {f.name: f.default for f in fields(self)}
         for name in _TUNING_FIELDS:
             value = getattr(self, name)
@@ -206,6 +201,7 @@ class AdaBoostR2(_BuilderEnsemble):
     def __init__(self, base_builder, n_estimators: int = 50, seed: int = 0):
         super().__init__()
         _check_count("n_estimators", n_estimators, 1)
+        _check_count("seed", seed, 0)
         self.base_builder = base_builder
         self.n_estimators = n_estimators
         self.seed = seed
@@ -273,8 +269,9 @@ class GradientBoosting(Model):
     ):
         super().__init__()
         _check_count("n_estimators", n_estimators, 0)
-        _check_learning_rate(learning_rate)
-        _check_max_depth(max_depth)
+        _check_real("learning_rate", learning_rate, lambda v: 0 < v <= 1, "in (0, 1]")
+        if max_depth is not None:
+            _check_count("max_depth", max_depth, 0)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -370,6 +367,7 @@ class BaggingEnsemble(_BuilderEnsemble):
     def __init__(self, base_builder, n_estimators: int = 100, bootstrap: bool = True, seed: int = 0):
         super().__init__()
         _check_count("n_estimators", n_estimators, 1)
+        _check_count("seed", seed, 0)
         self.base_builder = base_builder
         self.n_estimators = n_estimators
         self.bootstrap = bootstrap
@@ -404,7 +402,10 @@ class RandomForest(BaggingEnsemble):
 
     kind = "rfr"
 
-    def __init__(self, n_estimators=100, max_features=None, bootstrap=True, seed=0):
+    def __init__(self, n_estimators: int = 100, max_features: int | None = None,
+                 bootstrap: bool = True, seed: int = 0):
+        if max_features is not None:
+            _check_count("max_features", max_features, 1)
         super().__init__(_cart_builder(max_features, False), n_estimators, bootstrap, seed)
         self.max_features = max_features
 
@@ -415,7 +416,9 @@ class ExtraTrees(BaggingEnsemble):
 
     kind = "ert"
 
-    def __init__(self, n_estimators=100, max_features=None, seed=0):
+    def __init__(self, n_estimators: int = 100, max_features: int | None = None, seed: int = 0):
+        if max_features is not None:
+            _check_count("max_features", max_features, 1)
         super().__init__(_cart_builder(max_features, True), n_estimators, False, seed)
         self.max_features = max_features
 
@@ -437,6 +440,7 @@ class StackingEnsemble(_BuilderEnsemble):
         if not base_builders:
             raise ValueError("stacking requires at least one base estimator")
         _check_count("n_folds", n_folds, 2)
+        _check_count("seed", seed, 0)
         self.base_builders = list(base_builders)
         self.final_builder = final_builder
         self.n_folds = n_folds

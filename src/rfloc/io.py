@@ -9,13 +9,15 @@ double, so write -> read is bit-exact.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import typing
 
 import numpy as np
 
-from .core import Dataset, SensorConfig, Position, validate_dataset
-from .simulate import Scenario, SignatureObject, SoopSource
+from .core import Dataset, SensorConfig, Position, _owned_dataset
+from .simulate import Scenario
 
 
 def _fmt(v) -> str:
@@ -76,7 +78,7 @@ def read_dataset_csv(path: str) -> Dataset:
             raise ValueError(f"{path}: line {i} contains a non-numeric field") from None
         features[i - 2] = values[:m]
         labels[i - 2] = values[m:]
-    return validate_dataset(features, labels, freqs)
+    return _owned_dataset(features, labels, freqs)
 
 
 def append_dataset_csv(dataset: Dataset, path: str) -> None:
@@ -120,100 +122,72 @@ def _write_json(payload, path: str) -> None:
         fh.write("\n")
 
 
-def _need(d: dict, key: str, where: str):
-    if key not in d:
-        raise ValueError(f"missing key {where}.{key}")
-    return d[key]
+def _to_json(value):
+    """A config as JSON data: dataclass fields in declaration order, a
+    Position as [x, y, z], tuples as lists."""
+    if isinstance(value, Position):
+        return [value.x, value.y, value.z]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
-def _position_from(obj, where: str) -> Position:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 3:
-        raise ValueError(f"{where} must be a 3-element [x, y, z] list")
+def _from_json(cls, payload, where: str):
+    """Build the dataclass cls from a JSON object keyed by its field names.
+
+    Refuses a non-object, an unknown key and a missing key without a default.
+    Only positions and lists are converted here; type and range checks are
+    cls's own. Every ValueError names its path, e.g. scenario.sources[2].
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} must be a JSON object, got {payload!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(payload) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(f'{where}.{key}' for key in unknown)}")
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in payload:
+            kwargs[f.name] = _field_from_json(hints[f.name], payload[f.name], f"{where}.{f.name}")
+        elif f.default is dataclasses.MISSING:
+            raise ValueError(f"missing key {where}.{f.name}")
+    return _construct(cls, kwargs, where)
+
+
+def _field_from_json(hint, value, where: str):
+    if hint is Position:
+        if not isinstance(value, list) or len(value) != 3:
+            raise ValueError(f"{where} must be a 3-element [x, y, z] list, got {value!r}")
+        return _construct(Position, dict(zip("xyz", value)), where)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        if dataclasses.is_dataclass(item):
+            return tuple(_from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+        return tuple(value)
+    return value
+
+
+def _construct(cls, kwargs: dict, where: str):
     try:
-        return Position(*(float(v) for v in obj))
-    except (TypeError, ValueError) as exc:
+        return cls(**kwargs)
+    except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "room_dims": list(s.room_dims),
-        "sources": [
-            {
-                "position": [src.position.x, src.position.y, src.position.z],
-                "center_frequency_mhz": src.center_frequency_mhz,
-                "bandwidth_mhz": src.bandwidth_mhz,
-                "tx_power_dbm": src.tx_power_dbm,
-                "path_loss_exponent": src.path_loss_exponent,
-            }
-            for src in s.sources
-        ],
-        "objects": [
-            {
-                "corner_min": [o.corner_min.x, o.corner_min.y, o.corner_min.z],
-                "corner_max": [o.corner_max.x, o.corner_max.y, o.corner_max.z],
-                "attenuation_db": o.attenuation_db,
-            }
-            for o in s.objects
-        ],
-        "noise_sigma_db": s.noise_sigma_db,
-        "rng_seed": s.rng_seed,
-        "noise_floor_dbm": s.noise_floor_dbm,
-        "noise_burst_prob": s.noise_burst_prob,
-        "noise_burst_factor": s.noise_burst_factor,
-        "label_error_prob": s.label_error_prob,
-    }
+scenario_to_dict = sensor_config_to_dict = _to_json
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    if not isinstance(d, dict):
-        raise ValueError("scenario: top level must be a JSON object")
-    sources = []
-    for i, sd in enumerate(_need(d, "sources", "scenario")):
-        where = f"scenario.sources[{i}]"
-        try:
-            sources.append(
-                SoopSource(
-                    position=_position_from(_need(sd, "position", where), f"{where}.position"),
-                    center_frequency_mhz=float(_need(sd, "center_frequency_mhz", where)),
-                    bandwidth_mhz=float(_need(sd, "bandwidth_mhz", where)),
-                    tx_power_dbm=float(_need(sd, "tx_power_dbm", where)),
-                    path_loss_exponent=float(_need(sd, "path_loss_exponent", where)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    objects = []
-    for i, od in enumerate(d.get("objects", [])):
-        where = f"scenario.objects[{i}]"
-        try:
-            objects.append(
-                SignatureObject(
-                    corner_min=_position_from(_need(od, "corner_min", where), f"{where}.corner_min"),
-                    corner_max=_position_from(_need(od, "corner_max", where), f"{where}.corner_max"),
-                    attenuation_db=float(_need(od, "attenuation_db", where)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    dims = _need(d, "room_dims", "scenario")
-    if not isinstance(dims, (list, tuple)) or len(dims) != 3:
-        raise ValueError("scenario.room_dims must be a 3-element list")
-    floor = d.get("noise_floor_dbm")
-    try:
-        return Scenario(
-            room_dims=tuple(float(v) for v in dims),
-            sources=tuple(sources),
-            objects=tuple(objects),
-            noise_sigma_db=float(_need(d, "noise_sigma_db", "scenario")),
-            rng_seed=int(_need(d, "rng_seed", "scenario")),
-            noise_floor_dbm=None if floor is None else float(floor),
-            noise_burst_prob=float(d.get("noise_burst_prob", 0.0)),
-            noise_burst_factor=float(d.get("noise_burst_factor", 3.0)),
-            label_error_prob=float(d.get("label_error_prob", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"scenario: {exc}") from None
+    # objects may be omitted: a room with no obstructions
+    return _from_json(Scenario, {"objects": [], **d} if isinstance(d, dict) else d, "scenario")
+
+
+def sensor_config_from_dict(d: dict) -> SensorConfig:
+    return _from_json(SensorConfig, d, "sensor-config")
 
 
 def read_scenario_json(path: str) -> Scenario:
@@ -222,31 +196,6 @@ def read_scenario_json(path: str) -> Scenario:
 
 def write_scenario_json(scenario: Scenario, path: str) -> None:
     _write_json(scenario_to_dict(scenario), path)
-
-
-def sensor_config_to_dict(c: SensorConfig) -> dict:
-    return {
-        "band_mhz": list(c.band_mhz),
-        "step_mhz": c.step_mhz,
-        "sample_rate_hz": c.sample_rate_hz,
-        "samples_per_position": c.samples_per_position,
-        "reconfig_index": c.reconfig_index,
-    }
-
-
-def sensor_config_from_dict(d: dict) -> SensorConfig:
-    if not isinstance(d, dict):
-        raise ValueError("sensor-config: top level must be a JSON object")
-    try:
-        return SensorConfig(
-            band_mhz=tuple(float(f) for f in _need(d, "band_mhz", "sensor-config")),
-            step_mhz=float(_need(d, "step_mhz", "sensor-config")),
-            sample_rate_hz=float(_need(d, "sample_rate_hz", "sensor-config")),
-            samples_per_position=int(_need(d, "samples_per_position", "sensor-config")),
-            reconfig_index=int(d.get("reconfig_index", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"sensor-config: {exc}") from None
 
 
 def read_sensor_config_json(path: str) -> SensorConfig:
@@ -353,4 +302,4 @@ def rtlpower_rows_to_dataset(
                 )
             features[i, j] = dbs[k]
     labels = np.tile(position.as_array(), (len(rows), 1))
-    return validate_dataset(features, labels, band)
+    return _owned_dataset(features, labels, band)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
-from .core import Dataset, _check_count
+from .core import Dataset, _check_count, _check_real
 
 
 class NotFittedError(RuntimeError):
@@ -133,8 +133,7 @@ class KnnRegressor(Model):
 
     def __init__(self, k: int = 5, weighting: str = "uniform"):
         super().__init__()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        _check_count("k", k, 1)
         if weighting not in ("uniform", "inverse-distance"):
             raise ValueError(f"unknown weighting {weighting!r}")
         self.k = k
@@ -234,12 +233,6 @@ def _sse(s1, s2, count):
     return total
 
 
-def _check_max_depth(max_depth) -> None:
-    """Raise ValueError naming max_depth unless it is None or an int >= 0."""
-    if max_depth is not None:
-        _check_count("max_depth", max_depth, 0)
-
-
 class CartRegressor(Model):
     """Greedy binary regression tree on variance reduction.
 
@@ -268,9 +261,11 @@ class CartRegressor(Model):
         seed: int | None = None,
     ):
         super().__init__()
-        _check_max_depth(max_depth)
-        if min_samples_leaf < 1:
-            raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+        for name, value, minimum in (("max_depth", max_depth, 0), ("max_features", max_features, 1),
+                                     ("seed", seed, 0)):
+            if value is not None:
+                _check_count(name, value, minimum)
+        _check_count("min_samples_leaf", min_samples_leaf, 1)
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
@@ -515,10 +510,9 @@ class GprRegressor(Model):
         noise_jitter: float = 1e-8,
     ):
         super().__init__()
-        if length_scale <= 0 or signal_variance <= 0:
-            raise ValueError("length_scale and signal_variance must be > 0")
-        if noise_jitter <= 0:
-            raise ValueError(f"noise_jitter must be > 0, got {noise_jitter}")
+        _check_real("length_scale", length_scale, lambda v: v > 0, "> 0")
+        _check_real("signal_variance", signal_variance, lambda v: v > 0, "> 0")
+        _check_real("noise_jitter", noise_jitter, lambda v: v > 0, "> 0")
         self.length_scale = length_scale
         self.signal_variance = signal_variance
         self.noise_jitter = noise_jitter
@@ -565,10 +559,8 @@ class GprRegressor(Model):
 
 def _check_schedule(epochs, learning_rate) -> None:
     """Raise ValueError naming a training schedule that would not train."""
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if learning_rate <= 0:
-        raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
+    _check_count("epochs", epochs, 1)
+    _check_real("learning_rate", learning_rate, lambda v: v > 0, "> 0")
 
 
 class LinearSvr(Model):
@@ -590,10 +582,8 @@ class LinearSvr(Model):
         learning_rate: float = 0.01,
     ):
         super().__init__()
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-        if reg_c <= 0:
-            raise ValueError(f"reg_c must be > 0, got {reg_c}")
+        _check_real("epsilon", epsilon, lambda v: v >= 0, ">= 0")
+        _check_real("reg_c", reg_c, lambda v: v > 0, "> 0")
         _check_schedule(epochs, learning_rate)
         self.epsilon = epsilon
         self.reg_c = reg_c
@@ -683,8 +673,8 @@ class MlpRegressor(Model):
         seed: int = 0,
     ):
         super().__init__()
-        if hidden_units < 1:
-            raise ValueError(f"hidden_units must be >= 1, got {hidden_units}")
+        _check_count("hidden_units", hidden_units, 1)
+        _check_count("seed", seed, 0)
         _check_schedule(epochs, learning_rate)
         self.hidden_units = hidden_units
         self.epochs = epochs

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Position, SensorConfig, _child_rng, grid_positions, validate_dataset
+from .core import (Dataset, Position, SensorConfig, _check_count, _check_real, _child_rng,
+                   _owned_dataset, grid_positions)
 
 D0_M = 1.0  # reference distance for the path-loss law
 
@@ -34,12 +35,10 @@ class SoopSource:
     path_loss_exponent: float
 
     def __post_init__(self):
-        if self.bandwidth_mhz <= 0:
-            raise ValueError(f"bandwidth_mhz must be > 0, got {self.bandwidth_mhz}")
-        if not 1.5 <= self.path_loss_exponent <= 6.0:
-            raise ValueError(
-                f"path_loss_exponent must be in [1.5, 6], got {self.path_loss_exponent}"
-            )
+        _check_real("center_frequency_mhz", self.center_frequency_mhz, lambda v: v > 0, "> 0")
+        _check_real("bandwidth_mhz", self.bandwidth_mhz, lambda v: v > 0, "> 0")
+        _check_real("tx_power_dbm", self.tx_power_dbm)
+        _check_real("path_loss_exponent", self.path_loss_exponent, lambda v: 1.5 <= v <= 6.0, "in [1.5, 6]")
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,7 @@ class SignatureObject:
         hi = self.corner_max.as_array()
         if not np.all(hi > lo):
             raise ValueError("box must have positive volume (corner_max > corner_min per axis)")
-        if self.attenuation_db < 0:
-            raise ValueError(f"attenuation_db must be >= 0, got {self.attenuation_db}")
+        _check_real("attenuation_db", self.attenuation_db, lambda v: v >= 0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -84,26 +82,21 @@ class Scenario:
     label_error_prob: float = 0.0
 
     def __post_init__(self):
-        dims = tuple(float(v) for v in self.room_dims)
-        object.__setattr__(self, "room_dims", dims)
+        dims = tuple(self.room_dims)
+        if len(dims) != 3:
+            raise ValueError(f"room_dims must be three positive lengths, got {dims}")
+        for i, v in enumerate(dims):
+            _check_real(f"room_dims[{i}]", v, lambda v: v > 0, "> 0")
+        object.__setattr__(self, "room_dims", tuple(float(v) for v in dims))
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "objects", tuple(self.objects))
-        if len(dims) != 3 or any(v <= 0 for v in dims):
-            raise ValueError(f"room_dims must be three positive lengths, got {dims}")
-        if self.noise_sigma_db < 0:
-            raise ValueError(f"noise_sigma_db must be >= 0, got {self.noise_sigma_db}")
-        if not 0.0 <= self.noise_burst_prob <= 1.0:
-            raise ValueError(
-                f"noise_burst_prob must be in [0, 1], got {self.noise_burst_prob}"
-            )
-        if self.noise_burst_factor < 1.0:
-            raise ValueError(
-                f"noise_burst_factor must be >= 1, got {self.noise_burst_factor}"
-            )
-        if not 0.0 <= self.label_error_prob <= 1.0:
-            raise ValueError(
-                f"label_error_prob must be in [0, 1], got {self.label_error_prob}"
-            )
+        _check_real("noise_sigma_db", self.noise_sigma_db, lambda v: v >= 0, ">= 0")
+        _check_count("rng_seed", self.rng_seed, 0)
+        if self.noise_floor_dbm is not None:
+            _check_real("noise_floor_dbm", self.noise_floor_dbm)
+        _check_real("noise_burst_prob", self.noise_burst_prob, lambda v: 0 <= v <= 1, "in [0, 1]")
+        _check_real("noise_burst_factor", self.noise_burst_factor, lambda v: v >= 1, ">= 1")
+        _check_real("label_error_prob", self.label_error_prob, lambda v: 0 <= v <= 1, "in [0, 1]")
         for i, src in enumerate(self.sources):
             if not self.contains(src.position):
                 raise ValueError(f"sources[{i}] position outside room bounds")
@@ -225,7 +218,7 @@ def generate_dataset(scenario: Scenario, config: SensorConfig, positions) -> Dat
                 if j >= i:
                     j += 1
                 labels[i * s + r] = positions[j].as_array()
-    return validate_dataset(features, labels, config.band_mhz)
+    return _owned_dataset(features, labels, config.band_mhz)
 
 
 def reference_grid_positions() -> list[Position]:
@@ -367,8 +360,7 @@ def make_fullband_scenario(
     every other bin sees only the noise floor plus measurement noise. The
     informative set is recoverable as the sources' center frequencies.
     """
-    if n_frequencies < 10:
-        raise ValueError(f"n_frequencies must be >= 10, got {n_frequencies}")
+    _check_count("n_frequencies", n_frequencies, 10)
     rng = _child_rng(904, seed)
     length, width, height = REFERENCE_ROOM_DIMS
 

@@ -1,8 +1,11 @@
 """Sensor configuration, dataset container, grid layout, and splitting."""
 
+import re
+
 import numpy as np
 import pytest
 
+from rfloc import RandomForest
 from rfloc.core import (
     Dataset,
     Position,
@@ -59,6 +62,31 @@ class TestValidateDataset:
         X[1, 0] = np.nan
         with pytest.raises(ValueError):
             validate_dataset(X, np.zeros((3, 3)), (1.0, 2.0))
+
+    def test_leaves_the_callers_arrays_as_they_are(self):
+        rng = np.random.default_rng(0)
+        X, Y = rng.normal(size=(30, 2)), rng.normal(size=(30, 3))
+        ds = validate_dataset(X, Y, (1.0, 2.0))
+        forest = RandomForest(n_estimators=2, seed=0).fit(X, Y)
+        assert X.flags.writeable and Y.flags.writeable
+        kept = ds.features.copy()
+        before = forest.predict(kept)
+        X[:] = 0.0
+        Y[:] = 0.0
+        assert np.array_equal(ds.features, kept)
+        assert np.array_equal(forest.predict(kept), before)
+
+    def test_frequencies_are_checked_like_a_sensor_band(self):
+        cases = [
+            ((float("nan"), 2.0), "frequencies_mhz[0] must be > 0, got nan"),
+            ((1.0, -5.0), "frequencies_mhz[1] must be > 0, got -5.0"),
+            ((2.0, 2.0), "frequencies_mhz must be strictly increasing; violation at index 1"),
+        ]
+        for freqs, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                validate_dataset(np.zeros((2, 2)), np.zeros((2, 3)), freqs)
+            with pytest.raises(ValueError, match=re.escape(message.replace("frequencies", "band"))):
+                SensorConfig(band_mhz=freqs, step_mhz=2.4, sample_rate_hz=2.4e6, samples_per_position=1)
 
     def test_subset_selects_rows(self):
         ds = validate_dataset(np.arange(12.0).reshape(6, 2), np.zeros((6, 3)), (1.0, 2.0))

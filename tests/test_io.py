@@ -1,6 +1,7 @@
 """File formats: CSV round-trips, JSON configs, wide-scan ingestion."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from rfloc.io import (
     write_sensor_config_json,
 )
 from rfloc.bandselect import ImportanceReport
-from rfloc.simulate import make_reference_scenario
+from rfloc.simulate import make_fullband_scenario, make_reference_scenario
 
 from conftest import toy_dataset
 
@@ -68,6 +69,12 @@ class TestDatasetCsv:
             read_dataset_csv(str(p))
         p.write_text("f_91.2,x,y,z\n1.0,two,3.0,4.0\n")
         with pytest.raises(ValueError, match="line 2"):
+            read_dataset_csv(str(p))
+
+    def test_header_band_is_checked(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("f_nan,f_-5.0,x,y,z\n1,2,3,4,5\n")
+        with pytest.raises(ValueError, match=r"frequencies_mhz\[0\] must be > 0, got nan"):
             read_dataset_csv(str(p))
 
     def test_empty_file_rejected(self, tmp_path):
@@ -161,6 +168,74 @@ class TestSensorConfigJson:
         del d["step_mhz"]
         with pytest.raises(ValueError, match="step_mhz"):
             sensor_config_from_dict(d)
+
+
+class TestConfigJsonRules:
+    @pytest.mark.parametrize("make", [make_reference_scenario, make_fullband_scenario])
+    def test_write_read_write_is_byte_identical(self, tmp_path, make):
+        scenario, config, _ = make(3)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for obj, write, read in ((scenario, write_scenario_json, read_scenario_json),
+                                 (config, write_sensor_config_json, read_sensor_config_json)):
+            write(obj, str(a))
+            write(read(str(a)), str(b))
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_keys_are_the_fields_in_declaration_order(self, tmp_path):
+        config = SensorConfig((91.2, 93.6), 2.4, 2.4e6, 100, reconfig_index=1)
+        p = tmp_path / "c.json"
+        write_sensor_config_json(config, str(p))
+        assert p.read_text() == (
+            '{\n  "band_mhz": [\n    91.2,\n    93.6\n  ],\n  "step_mhz": 2.4,\n'
+            '  "sample_rate_hz": 2400000.0,\n  "samples_per_position": 100,\n'
+            '  "reconfig_index": 1\n}\n'
+        )
+        scenario, _, _ = make_reference_scenario(0)
+        d = scenario_to_dict(scenario)
+        assert list(d) == ["room_dims", "sources", "objects", "noise_sigma_db", "rng_seed",
+                           "noise_floor_dbm", "noise_burst_prob", "noise_burst_factor",
+                           "label_error_prob"]
+        assert list(d["sources"][0]) == ["position", "center_frequency_mhz", "bandwidth_mhz",
+                                         "tx_power_dbm", "path_loss_exponent"]
+        assert d["objects"][0]["corner_min"] == list(scenario.objects[0].corner_min.as_array())
+
+    def test_objects_may_be_omitted(self):
+        d = scenario_to_dict(make_reference_scenario(0)[0])
+        del d["objects"]
+        assert scenario_from_dict(d).objects == ()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["sources"][0].update(colour="red"), "unknown key scenario.sources[0].colour"),
+        (lambda d: d.update(objects=None), "scenario.objects must be a list, got None"),
+        (lambda d: d["sources"][1].update(position=None),
+         "scenario.sources[1].position must be a 3-element [x, y, z] list, got None"),
+        (lambda d: d["sources"][2].update(tx_power_dbm=float("nan")),
+         "scenario.sources[2]: tx_power_dbm must be a finite number, got nan"),
+        (lambda d: d["objects"][0]["corner_max"].__setitem__(0, float("nan")),
+         "scenario.objects[0].corner_max: x must be a finite number, got nan"),
+        (lambda d: d.update(rng_seed=99.9), "scenario: rng_seed must be an integer, got 99.9"),
+        (lambda d: d.update(rng_seed=7.0), "scenario: rng_seed must be an integer, got 7.0"),
+    ])
+    def test_a_bad_scenario_file_is_refused_naming_the_path(self, tmp_path, edit, message):
+        d = scenario_to_dict(make_reference_scenario(0)[0])
+        edit(d)
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(d))  # a NaN is written as the bare NaN literal
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+            read_scenario_json(str(p))
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"reconfg_index": 1}, "unknown key sensor-config.reconfg_index"),
+        ({"band_mhz": None}, "sensor-config.band_mhz must be a list, got None"),
+        ({"step_mhz": float("nan")}, "sensor-config: step_mhz must be > 0, got nan"),
+        ({"samples_per_position": 99.9}, "sensor-config: samples_per_position must be an integer, got 99.9"),
+    ])
+    def test_a_bad_sensor_config_file_is_refused_naming_the_path(self, tmp_path, edit, message):
+        d = sensor_config_to_dict(SensorConfig((91.2, 93.6), 2.4, 2.4e6, 100))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**d, **edit}))
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+            read_sensor_config_json(str(p))
 
 
 class TestReportCsvs:
