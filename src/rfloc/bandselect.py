@@ -13,7 +13,7 @@ reduced band if the environment changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,6 +53,7 @@ def permutation_importance(model, test: Dataset, n_repeats: int = 5, seed: int =
     column shuffled. n_repeats must be an integer >= 1.
     """
     _check_count("n_repeats", n_repeats, 1)
+    _check_count("seed", seed, 0)
     model_freqs = getattr(model, "frequencies_mhz", None)
     if model_freqs is not None and tuple(model_freqs) != tuple(test.frequencies_mhz):
         raise ValueError(
@@ -95,22 +96,10 @@ def select_rated_band(
     if not 1 <= top_k <= m:
         raise ValueError(f"top_k must be in [1, {m}], got {top_k}")
     order = sorted(range(m), key=lambda j: (-report.scores_m[j], report.frequencies_mhz[j]))
-    chosen = sorted(report.frequencies_mhz[j] for j in order[:top_k])
+    chosen = tuple(sorted(report.frequencies_mhz[j] for j in order[:top_k]))
     if base is None:
-        return SensorConfig(
-            band_mhz=tuple(chosen),
-            step_mhz=2.4,
-            sample_rate_hz=2.4e6,
-            samples_per_position=100,
-            reconfig_index=1,
-        )
-    return SensorConfig(
-        band_mhz=tuple(chosen),
-        step_mhz=base.step_mhz,
-        sample_rate_hz=base.sample_rate_hz,
-        samples_per_position=base.samples_per_position,
-        reconfig_index=base.reconfig_index + 1,
-    )
+        base = SensorConfig(band_mhz=chosen, step_mhz=2.4, sample_rate_hz=2.4e6, samples_per_position=100)
+    return replace(base, band_mhz=chosen, reconfig_index=base.reconfig_index + 1)
 
 
 def dddas_cycle(
@@ -133,6 +122,7 @@ def dddas_cycle(
     from .registry import canonical_id, fit_model
     from .simulate import generate_dataset
 
+    _check_count("seed", seed, 0)
     if not top_k < full_config.n_frequencies:
         raise ValueError(
             f"top_k ({top_k}) must be smaller than the full band "

@@ -235,17 +235,19 @@ def grid_positions(room_dims, counts, spacing, heights) -> list[Position]:
 def train_test_split(dataset: Dataset, train_fraction: float, seed: int) -> SplitDataset:
     """Seeded uniform row shuffle into train/test halves.
 
-    Train size is round(n * train_fraction). The same seed always yields the
-    identical index partition.
+    Train size is round(n * train_fraction), and neither half may be empty.
+    The same seed always yields the identical index partition.
     """
     if dataset.n == 0:
         raise ValueError("cannot split an empty dataset")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(dataset.n)
+    _check_real("train_fraction", train_fraction, lambda v: 0 < v < 1, "in (0, 1)")
+    _check_count("seed", seed, 0)
     n_train = int(round(dataset.n * train_fraction))
+    if not 0 < n_train < dataset.n:
+        raise ValueError(f"train_fraction {train_fraction} splits {dataset.n} rows into {n_train} "
+                         f"train and {dataset.n - n_train} test rows; neither may be empty")
+
+    perm = np.random.default_rng(seed).permutation(dataset.n)
     return SplitDataset(
         train=dataset.subset(perm[:n_train]),
         test=dataset.subset(perm[n_train:]),

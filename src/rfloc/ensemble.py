@@ -4,11 +4,14 @@ variants, and stacked generalization over the base regressors.
 Base estimators are supplied as builder callables with signature
 ``builder(train: Dataset, seed: int) -> Model`` so any estimator (including
 another ensemble) can serve as a member. All per-member randomness is derived
-from the ensemble seed, making every strategy bit-reproducible.
+from the ensemble seed, making every strategy bit-reproducible. STRATEGIES
+maps each EnsembleSpec strategy to its class, whose constructor decides the
+spec's tuning fields and base count.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -18,113 +21,9 @@ import numpy as np
 from .core import Dataset, _check_count, _check_real, _child_rng, _child_seed, validate_dataset
 from .regressors import CartRegressor, Model, column_order, fit_on_dataset
 
-STRATEGIES = (
-    "boosting-abr",
-    "boosting-gbr",
-    "boosting-hgbr",
-    "bagging",
-    "random-forest",
-    "extra-trees",
-    "stacking",
-)
-
-# The tuning fields each strategy reads (seed is read by all). A spec that
-# moves any other tuning field off its default is rejected.
-_TUNING_FIELDS = ("n_estimators", "learning_rate", "max_depth", "max_bins", "n_folds")
-_TUNING_READ = {
-    "boosting-abr": ("n_estimators",),
-    "boosting-gbr": ("n_estimators", "learning_rate", "max_depth"),
-    "boosting-hgbr": ("n_estimators", "learning_rate", "max_depth", "max_bins"),
-    "bagging": ("n_estimators",),
-    "random-forest": ("n_estimators",),
-    "extra-trees": ("n_estimators",),
-    "stacking": ("n_folds",),
-}
-
 # Default stacking base list: the five single regressors plus the five
 # ensemble regressors from the boosting/bagging comparisons.
 DEFAULT_STACK_BASES = ("svr", "knr", "gpr", "dtr", "mlp", "abr", "gbr", "hgbr", "rfr", "ert")
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Declarative description of one ensemble configuration.
-
-    base and final hold model ids, each checked with parse_model_id when the
-    spec is built. boosting-abr and bagging take exactly one base, gbr, hgbr,
-    random-forest and extra-trees take none, and stacking takes a final plus
-    one or more bases (DEFAULT_STACK_BASES when empty). A tuning field the
-    strategy never reads must keep its default.
-    """
-
-    strategy: str
-    base: tuple[str, ...] = ()
-    final: str | None = None
-    n_estimators: int = 100
-    learning_rate: float = 0.1
-    max_depth: int | None = 3
-    max_bins: int = 256
-    n_folds: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(self.base))
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        _check_count("n_estimators", self.n_estimators, 1)
-        _check_real("learning_rate", self.learning_rate, lambda v: 0 < v <= 1, "in (0, 1]")
-        _check_count("max_bins", self.max_bins, 2, 256)
-        _check_count("n_folds", self.n_folds, 2)
-        if self.max_depth is not None:
-            _check_count("max_depth", self.max_depth, 0)
-        _check_count("seed", self.seed, 0)
-        defaults = {f.name: f.default for f in fields(self)}
-        for name in _TUNING_FIELDS:
-            value = getattr(self, name)
-            if name not in _TUNING_READ[self.strategy] and value != defaults[name]:
-                raise ValueError(f"{self.strategy} does not use {name}, got {name}={value!r}")
-        if self.strategy == "stacking":
-            if self.final is None:
-                raise ValueError("stacking requires a final estimator id")
-            if not self.base:
-                object.__setattr__(self, "base", DEFAULT_STACK_BASES)
-        elif self.final is not None:
-            raise ValueError(
-                f"only stacking takes a final estimator id; {self.strategy} got final={self.final!r}"
-            )
-        elif self.strategy in ("boosting-abr", "bagging"):
-            if len(self.base) != 1:
-                raise ValueError(
-                    f"{self.strategy} takes exactly one base estimator id, got base={self.base!r}"
-                )
-        elif self.base:
-            raise ValueError(f"{self.strategy} takes no base estimator ids, got base={self.base!r}")
-        from .registry import parse_model_id
-
-        members = self.base if self.final is None else (*self.base, self.final)
-        for model_id in members:
-            if not isinstance(model_id, str):
-                raise ValueError(f"{self.strategy} member ids must be strings, got {model_id!r}")
-            try:
-                parse_model_id(model_id)
-            except ValueError as exc:
-                raise ValueError(f"{self.strategy} member id {model_id!r}: {exc}") from exc
-
-    def tuning(self) -> dict:
-        """The tuning fields this spec's strategy reads, by name."""
-        return {name: getattr(self, name) for name in _TUNING_READ[self.strategy]}
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "base": list(self.base)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnsembleSpec":
-        """Inverse of to_dict; absent keys take the field defaults, and a key
-        that is no field raises ValueError naming it."""
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"EnsembleSpec has no field {', '.join(map(repr, unknown))}")
-        return cls(**d)
 
 
 def weighted_median(predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -391,6 +290,8 @@ class BaggingEnsemble(_BuilderEnsemble):
 
 def _cart_builder(max_features, random_thresholds):
     """Builder of one randomised CART member, seeded by its bagging seed."""
+    if max_features is not None:
+        _check_count("max_features", max_features, 1)
     return lambda train, seed: CartRegressor(
         max_features=max_features, random_thresholds=random_thresholds, seed=seed
     ).fit(train.features, train.labels)
@@ -404,8 +305,6 @@ class RandomForest(BaggingEnsemble):
 
     def __init__(self, n_estimators: int = 100, max_features: int | None = None,
                  bootstrap: bool = True, seed: int = 0):
-        if max_features is not None:
-            _check_count("max_features", max_features, 1)
         super().__init__(_cart_builder(max_features, False), n_estimators, bootstrap, seed)
         self.max_features = max_features
 
@@ -417,8 +316,6 @@ class ExtraTrees(BaggingEnsemble):
     kind = "ert"
 
     def __init__(self, n_estimators: int = 100, max_features: int | None = None, seed: int = 0):
-        if max_features is not None:
-            _check_count("max_features", max_features, 1)
         super().__init__(_cart_builder(max_features, True), n_estimators, False, seed)
         self.max_features = max_features
 
@@ -467,6 +364,112 @@ class StackingEnsemble(_BuilderEnsemble):
     def _used_features(self):
         # the final estimator reads only the bases' predictions
         return _used_by(self.full_bases_)
+
+
+STRATEGIES = {
+    "boosting-abr": AdaBoostR2,
+    "boosting-gbr": GradientBoosting,
+    "boosting-hgbr": HistGradientBoosting,
+    "bagging": BaggingEnsemble,
+    "random-forest": RandomForest,
+    "extra-trees": ExtraTrees,
+    "stacking": StackingEnsemble,
+}
+
+# The spec fields a strategy may tune: those its class's constructor takes.
+_TUNING_FIELDS = ("n_estimators", "learning_rate", "max_depth", "max_bins", "n_folds")
+
+
+def _parameters(cls) -> set[str]:
+    """The names of the parameters cls's constructor takes."""
+    return set(inspect.signature(cls).parameters)
+
+
+@dataclass(frozen=True)
+class EnsembleSpec:
+    """Declarative description of one ensemble configuration.
+
+    strategy names a class in STRATEGIES, and the class's constructor decides
+    the rest. base and final hold model ids, each checked with parse_model_id
+    when the spec is built. A class that takes base_builder takes exactly one
+    base, one that takes base_builders (stacking) takes a final plus one or
+    more bases (DEFAULT_STACK_BASES when empty), and the others take none.
+    The tuning fields a strategy reads are the ones its constructor takes;
+    every other tuning field must keep its default.
+    """
+
+    strategy: str
+    base: tuple[str, ...] = ()
+    final: str | None = None
+    n_estimators: int = 100
+    learning_rate: float = 0.1
+    max_depth: int | None = 3
+    max_bins: int = 256
+    n_folds: int = 5
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "base", tuple(self.base))
+        names = tuple(STRATEGIES)
+        if self.strategy not in names:
+            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {names}")
+        _check_count("n_estimators", self.n_estimators, 1)
+        _check_real("learning_rate", self.learning_rate, lambda v: 0 < v <= 1, "in (0, 1]")
+        _check_count("max_bins", self.max_bins, 2, 256)
+        _check_count("n_folds", self.n_folds, 2)
+        if self.max_depth is not None:
+            _check_count("max_depth", self.max_depth, 0)
+        _check_count("seed", self.seed, 0)
+        takes = _parameters(STRATEGIES[self.strategy])
+        defaults = {f.name: f.default for f in fields(self)}
+        for name in _TUNING_FIELDS:
+            value = getattr(self, name)
+            if name not in takes and value != defaults[name]:
+                raise ValueError(f"{self.strategy} does not use {name}, got {name}={value!r}")
+        if "base_builders" in takes:
+            if self.final is None:
+                raise ValueError(f"{self.strategy} requires a final estimator id")
+            if not self.base:
+                object.__setattr__(self, "base", DEFAULT_STACK_BASES)
+        elif self.final is not None:
+            raise ValueError(
+                f"only stacking takes a final estimator id; {self.strategy} got final={self.final!r}"
+            )
+        elif "base_builder" in takes:
+            if len(self.base) != 1:
+                raise ValueError(
+                    f"{self.strategy} takes exactly one base estimator id, got base={self.base!r}"
+                )
+        elif self.base:
+            raise ValueError(f"{self.strategy} takes no base estimator ids, got base={self.base!r}")
+        from .registry import parse_model_id
+
+        members = self.base if self.final is None else (*self.base, self.final)
+        for model_id in members:
+            if not isinstance(model_id, str):
+                raise ValueError(f"{self.strategy} member ids must be strings, got {model_id!r}")
+            try:
+                parse_model_id(model_id)
+            except ValueError as exc:
+                raise ValueError(f"{self.strategy} member id {model_id!r}: {exc}") from exc
+
+    def tuning(self) -> dict:
+        """The tuning fields this spec's strategy reads, by name: the ones
+        its class's constructor takes."""
+        takes = _parameters(STRATEGIES[self.strategy])
+        return {name: getattr(self, name) for name in _TUNING_FIELDS if name in takes}
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "base": list(self.base)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "EnsembleSpec":
+        """Inverse of to_dict; absent keys take the field defaults, and a key
+        that is no field raises ValueError naming it."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"EnsembleSpec has no field {', '.join(map(repr, unknown))}")
+        return cls(**d)
 
 
 @dataclass
@@ -532,13 +535,5 @@ def stacking_fit_from_plan(
     return model
 
 
-def gradient_boost_fit(
-    train: Dataset,
-    n_estimators: int = 100,
-    learning_rate: float = 0.1,
-    max_depth: int | None = 3,
-) -> GradientBoosting:
-    return fit_on_dataset(
-        GradientBoosting(n_estimators=n_estimators, learning_rate=learning_rate, max_depth=max_depth),
-        train,
-    )
+def gradient_boost_fit(train: Dataset, **kwargs) -> GradientBoosting:
+    return fit_on_dataset(GradientBoosting(**kwargs), train)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SplitDataset
+from .core import SplitDataset, _check_count
 
 
 def _check_pair(true_labels, pred_labels):
@@ -121,6 +121,7 @@ def benchmark(models, split: SplitDataset, seed: int = 0) -> list[EvalReport]:
     """
     from .registry import canonical_id, fit_model
 
+    _check_count("seed", seed, 0)
     plan_cache: dict = {}
     reports = []
     for item in models:

@@ -16,7 +16,7 @@ import typing
 
 import numpy as np
 
-from .core import Dataset, SensorConfig, Position, _owned_dataset
+from .core import Dataset, SensorConfig, Position, _check_band, _owned_dataset
 from .simulate import Scenario
 
 
@@ -56,7 +56,7 @@ def _parse_dataset_header(header_line: str, path: str) -> tuple[float, ...]:
             freqs.append(float(tok[2:]))
         except ValueError:
             raise ValueError(f"{path}: header column {j} has a non-numeric frequency {tok!r}") from None
-    return tuple(freqs)
+    return _check_band(f"{path}: line 1: frequencies_mhz", freqs)
 
 
 def read_dataset_csv(path: str) -> Dataset:
@@ -78,7 +78,13 @@ def read_dataset_csv(path: str) -> Dataset:
             raise ValueError(f"{path}: line {i} contains a non-numeric field") from None
         features[i - 2] = values[:m]
         labels[i - 2] = values[m:]
-    return _owned_dataset(features, labels, freqs)
+    try:
+        return _owned_dataset(features, labels, freqs)
+    except ValueError as exc:
+        # the header passed, so a cell is non-finite; features are checked first
+        bad = [np.flatnonzero(~np.isfinite(a).all(axis=1)) for a in (features, labels)]
+        line = next(rows[0] for rows in bad if rows.size) + 2
+        raise ValueError(f"{path}: line {line}: {exc}") from None
 
 
 def append_dataset_csv(dataset: Dataset, path: str) -> None:

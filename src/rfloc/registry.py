@@ -1,6 +1,8 @@
 """Model id registry: one spec language for benchmark identifiers.
 
-Grammar (every id parses to a base id or an EnsembleSpec):
+Grammar (every id parses to a base id or an EnsembleSpec). An ensemble id
+starts with its class's kind, and the class's constructor decides what
+follows: nothing, one base id, or a final id and a bracketed base list.
   base regressors   svr | knr | gpr | dtr | mlp
   boosting          abr-<id> (50 rounds) | abr (= abr-dtr) | gbr | hgbr
   bagging           bagging-<id> | rfr | ert | etr (= ert)
@@ -17,15 +19,12 @@ from __future__ import annotations
 import dataclasses
 import zlib
 
-from .core import Dataset, _child_seed
+from .core import Dataset, _check_count, _child_seed
 from .ensemble import (
     DEFAULT_STACK_BASES,
-    AdaBoostR2,
-    BaggingEnsemble,
+    STRATEGIES,
     EnsembleSpec,
-    ExtraTrees,
-    HistGradientBoosting,
-    RandomForest,
+    _parameters,
     build_stacking_plan,
     gradient_boost_fit,
     stacking_fit_from_plan,
@@ -43,24 +42,12 @@ _BASE_BUILDERS = {
 }
 BASE_IDS = tuple(_BASE_BUILDERS)
 
-# Ensemble classes built from their spec's tuning fields, their bases' builders
-# and the fit seed.
-_SEEDED_ENSEMBLES = {
-    "boosting-abr": AdaBoostR2,
-    "bagging": BaggingEnsemble,
-    "random-forest": RandomForest,
-    "extra-trees": ExtraTrees,
-}
+# the strategy of each ensemble class's kind, which starts all its ids
+_KINDS = {cls.kind: strategy for strategy, cls in STRATEGIES.items()}
 
-# ids that name a strategy with no base estimator
-_PLAIN_IDS = {
-    "gbr": "boosting-gbr",
-    "hgbr": "boosting-hgbr",
-    "rfr": "random-forest",
-    "ert": "extra-trees",
-    "etr": "extra-trees",  # alternate abbreviation for extremely randomized trees
-}
-_PLAIN_LABELS = {strategy: mid for mid, strategy in _PLAIN_IDS.items() if mid != "etr"}
+# the special cases of the grammar: two shorthands, and abr's rounds
+_SHORTHANDS = {"abr": "abr-dtr", "etr": "ert"}
+_ID_TUNING = {"boosting-abr": {"n_estimators": 50}}
 
 ALIASES = {
     "baseline-all": list(BASE_IDS),
@@ -69,9 +56,19 @@ ALIASES = {
     "stacking-all": [f"stacking-{final}" for final in DEFAULT_STACK_BASES],
 }
 
+
+def _spelling(kind: str) -> str:
+    """How the grammar spells the ids of an ensemble kind."""
+    takes = _parameters(STRATEGIES[_KINDS[kind]])
+    if "base_builders" in takes:
+        return f"{kind}-<final>[<id>+<id>+...]"
+    if "base_builder" in takes:
+        return f"{kind}[-<id>]" if kind in _SHORTHANDS else f"{kind}-<id>"
+    return kind
+
+
 _VALID_SUMMARY = (
-    "svr, knr, gpr, dtr, mlp, abr[-<id>], gbr, hgbr, bagging-<id>, rfr, ert, "
-    "stacking-<final>[<id>+<id>+...], plus aliases " + ", ".join(sorted(ALIASES))
+    ", ".join([*BASE_IDS, *map(_spelling, _KINDS)]) + ", plus aliases " + ", ".join(sorted(ALIASES))
 )
 
 
@@ -113,21 +110,22 @@ def parse_model_id(model_id: str):
     mid = model_id.strip().lower()
     if mid in ALIASES:
         raise ValueError(f"alias {model_id!r} must be expanded before use")
+    mid = _SHORTHANDS.get(mid, mid)
     if mid in _BASE_BUILDERS:
         return mid
-    if mid in _PLAIN_IDS:
-        return EnsembleSpec(strategy=_PLAIN_IDS[mid])
-    if mid == "abr":
-        mid = "abr-dtr"
-    if mid.startswith("abr-"):
-        return EnsembleSpec(strategy="boosting-abr", base=(mid[len("abr-") :],), n_estimators=50)
-    if mid.startswith("bagging-"):
-        return EnsembleSpec(strategy="bagging", base=(mid[len("bagging-") :],))
-    if mid.startswith("stacking-"):
-        final, bases = mid[len("stacking-") :], DEFAULT_STACK_BASES
-        if final.endswith("]"):
-            final, bases = _stacking_parts(final)
-        return EnsembleSpec(strategy="stacking", base=bases, final=final)
+    kind, dash, rest = mid.partition("-")
+    if kind in _KINDS:
+        strategy = _KINDS[kind]
+        takes, tuning = _parameters(STRATEGIES[strategy]), _ID_TUNING.get(strategy, {})
+        if "base_builders" in takes and dash:
+            final, bases = rest, DEFAULT_STACK_BASES
+            if final.endswith("]"):
+                final, bases = _stacking_parts(final)
+            return EnsembleSpec(strategy, base=bases, final=final, **tuning)
+        if "base_builder" in takes and dash:
+            return EnsembleSpec(strategy, base=(rest,), **tuning)
+        if not dash and not takes & {"base_builder", "base_builders"}:
+            return EnsembleSpec(strategy, **tuning)
     raise ValueError(f"unknown model id {model_id!r}; valid ids: {_VALID_SUMMARY}")
 
 
@@ -150,15 +148,11 @@ def canonical_id(item) -> str:
     spec = _as_spec(item)
     if isinstance(spec, str):
         return spec
-    if spec.strategy == "boosting-abr":
-        return f"abr-{spec.base[0]}"
-    if spec.strategy == "bagging":
-        return f"bagging-{spec.base[0]}"
-    if spec.strategy == "stacking":
-        if spec.base == DEFAULT_STACK_BASES:
-            return f"stacking-{spec.final}"
-        return f"stacking-{spec.final}[{'+'.join(spec.base)}]"
-    return _PLAIN_LABELS[spec.strategy]
+    kind = STRATEGIES[spec.strategy].kind
+    if spec.final is None:
+        return "-".join((kind, *spec.base))
+    label = f"{kind}-{spec.final}"
+    return label if spec.base == DEFAULT_STACK_BASES else f"{label}[{'+'.join(spec.base)}]"
 
 
 def expand_model_ids(tokens) -> list[str]:
@@ -203,11 +197,11 @@ def builder_for(item, plan_cache=None):
     if spec.strategy == "boosting-gbr":
         # looked up as a module global at call time, as in _BASE_BUILDERS
         return lambda tr, s: gradient_boost_fit(tr, **kwargs)
-    if spec.strategy == "boosting-hgbr":
-        return lambda tr, s: fit_on_dataset(HistGradientBoosting(**kwargs), tr)
-    cls = _SEEDED_ENSEMBLES[spec.strategy]
+    cls = STRATEGIES[spec.strategy]
     bases = [builder_for(b) for b in spec.base]
-    return lambda tr, s: fit_on_dataset(cls(*bases, **kwargs, seed=s), tr)
+    if "seed" in _parameters(cls):
+        return lambda tr, s: fit_on_dataset(cls(*bases, **kwargs, seed=s), tr)
+    return lambda tr, s: fit_on_dataset(cls(*bases, **kwargs), tr)
 
 
 def fit_model(item, train: Dataset, seed: int = 0, plan_cache=None):
@@ -219,6 +213,7 @@ def fit_model(item, train: Dataset, seed: int = 0, plan_cache=None):
     entries of one benchmark that differ only in their final estimator share
     one plan through plan_cache.
     """
+    _check_count("seed", seed, 0)
     spec = _as_spec(item)
     spec_seed = spec.seed if isinstance(spec, EnsembleSpec) else 0
     eff = _child_seed(seed, _crc(canonical_id(spec)), spec_seed)

@@ -319,6 +319,7 @@ def make_reference_scenario(seed: int) -> tuple[Scenario, SensorConfig, list[Pos
     distinguishable at the configured noise level. With 100 samples at each
     of the 60 grid positions this yields a 6000 x 5 dataset.
     """
+    _check_count("seed", seed, 0)
     rng = _child_rng(721, seed)
     positions = reference_grid_positions()
     best = None
@@ -360,6 +361,7 @@ def make_fullband_scenario(
     every other bin sees only the noise floor plus measurement noise. The
     informative set is recoverable as the sources' center frequencies.
     """
+    _check_count("seed", seed, 0)
     _check_count("n_frequencies", n_frequencies, 10)
     rng = _child_rng(904, seed)
     length, width, height = REFERENCE_ROOM_DIMS

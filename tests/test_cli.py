@@ -300,6 +300,12 @@ class TestPca:
         assert main(["pca", "--data", data, "--n-components", "0",
                      "--out", str(tmp_path / "p.csv")]) == 2
 
+    def test_a_non_finite_cell_is_named_by_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("f_91.2,f_93.6,x,y,z\n1,2,3,4,5\n1,nan,3,4,5\n")
+        assert main(["pca", "--data", str(data), "--out", str(tmp_path / "p.csv")]) != 0
+        assert f"{data}: line 3: non-finite entry in features" in capsys.readouterr().err
+
 
 class TestIngestRtlPower:
     def _scan(self, tmp_path):

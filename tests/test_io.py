@@ -77,6 +77,23 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match=r"frequencies_mhz\[0\] must be > 0, got nan"):
             read_dataset_csv(str(p))
 
+    def test_dataset_check_errors_name_the_file_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("f_nan,f_-5.0,x,y,z\n1,2,3,4,5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 1: frequencies_mhz[0] must be > 0")):
+            read_dataset_csv(str(p))
+        p.write_text("f_91.2,f_93.6,x,y,z\n1,2,3,4,5\n1,nan,3,4,5\n1,2,3,4,inf\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: line 3: non-finite entry in features at row 1, column 1")):
+            read_dataset_csv(str(p))
+        # features are checked before labels, as validate_dataset does
+        p.write_text("f_91.2,f_93.6,x,y,z\n1,2,3,4,inf\n1,nan,3,4,5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: non-finite entry in features")):
+            read_dataset_csv(str(p))
+        p.write_text("f_91.2,f_93.6,x,y,z\n1,2,3,4,5\n1,2,3,4,5\n1,2,3,-inf,5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 4: non-finite entry in labels")):
+            read_dataset_csv(str(p))
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")

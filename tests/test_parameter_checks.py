@@ -180,3 +180,62 @@ def test_edge_values_stay_valid():
     assert type(Position(1, 2, 3).x) is float
     CartRegressor(max_depth=0, max_features=1, seed=0)
     LinearSvr(epsilon=0)
+
+
+def _seeded_calls():
+    """(name, call taking a seed) for every public function with a seed argument."""
+    from rfloc import (benchmark, dddas_cycle, fit_model, make_reference_scenario,
+                       permutation_importance, train_test_split)
+
+    from conftest import toy_dataset
+
+    ds = toy_dataset(n=20, m=3, seed=0)
+    split = train_test_split(ds, 0.7, seed=0)
+    model = fit_model("knr", split.train, seed=0)
+    scenario, config, positions = make_fullband_scenario(0, 10)
+    return [
+        ("make_reference_scenario", make_reference_scenario),
+        ("make_fullband_scenario", lambda seed: make_fullband_scenario(seed, 10)),
+        ("train_test_split", lambda seed: train_test_split(ds, 0.7, seed)),
+        ("fit_model", lambda seed: fit_model("knr", ds, seed=seed)),
+        ("permutation_importance", lambda seed: permutation_importance(model, split.test, seed=seed)),
+        ("benchmark", lambda seed: benchmark(["knr"], split, seed=seed)),
+        ("dddas_cycle", lambda seed: dddas_cycle(scenario, config, positions, "knr", 2, seed=seed)),
+    ]
+
+
+@pytest.mark.parametrize("bad", [2.5, -1, True, "1", float("nan")])
+def test_a_bad_seed_is_refused_naming_it(bad):
+    for name, call in _seeded_calls():
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        message = str(info.value)
+        assert message.startswith("seed must be") and repr(bad) in message, (name, message)
+
+
+@pytest.mark.parametrize("bad, named", [
+    (float("nan"), "train_fraction must be in (0, 1), got nan"),
+    (True, "train_fraction must be in (0, 1), got True"),
+    ("0.5", "train_fraction must be in (0, 1), got '0.5'"),
+    (1.5, "train_fraction must be in (0, 1), got 1.5"),
+])
+def test_train_fraction_is_a_fraction(bad, named):
+    from rfloc import train_test_split
+
+    from conftest import toy_dataset
+
+    with pytest.raises(ValueError, match=re.escape(named)):
+        train_test_split(toy_dataset(n=10, m=2), bad, seed=0)
+
+
+def test_a_split_leaves_both_halves_non_empty():
+    from rfloc import train_test_split
+
+    from conftest import toy_dataset
+
+    for fraction, n_train in ((0.1, 0), (0.9, 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"train_fraction {fraction} splits 3 rows into {n_train} train and {3 - n_train} test rows")):
+            train_test_split(toy_dataset(n=3, m=2), fraction, seed=0)
+    split = train_test_split(toy_dataset(n=3, m=2), 0.5, seed=0)
+    assert (split.train.n, split.test.n) == (2, 1)
