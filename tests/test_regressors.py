@@ -1,5 +1,7 @@
 """Base regressors: hand-checked values, brute-force oracles, invariants."""
 
+import dataclasses
+import hashlib
 import re
 import tracemalloc
 
@@ -8,7 +10,7 @@ import pytest
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
-from rfloc import regressors
+from rfloc import core, regressors, simulate
 from rfloc.core import validate_dataset
 from rfloc.ensemble import (
     AdaBoostR2,
@@ -699,6 +701,29 @@ class TestGpr:
             GprRegressor(noise_jitter=0.0)
 
 
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def small_room_split():
+    """Reference room, seed 0, 10 samples per position: 420 x 5 training rows."""
+    scenario, config, positions = simulate.make_reference_scenario(0)
+    config = dataclasses.replace(config, samples_per_position=10)
+    data = simulate.generate_dataset(scenario, config, positions)
+    return core.train_test_split(data, 0.7, 1)
+
+
+# Digests of fits made before the svr and mlp loops were rewritten; a rewrite
+# must keep every bit. mlp's matmuls make them depend on the BLAS kernels.
+SVR_ROOM_SHA256 = "4e55cc5c295774265646625a50bda353433ea94b64365b30412b5de3ea4e04d4"
+MLP_ROOM_SHA256 = "05f0f54691a0da7644bfcbc4fb95df377e248846df10237544cf6d00ba8d0d2e"
+MLP_ROOM_LOSS_SHA256 = "c8f1edeb9ff530703e721dc058b350f169848af7b0da69e7f0aca3241aaace8b"
+
+
 class TestLinearSvr:
     def test_recovers_linear_map(self, rng):
         X = rng.uniform(-1, 1, size=(80, 2))
@@ -731,6 +756,43 @@ class TestLinearSvr:
             LinearSvr(epochs=0)
         with pytest.raises(ValueError, match="learning_rate must be > 0, got -1"):
             LinearSvr(learning_rate=-1)
+
+    @pytest.mark.parametrize("width", [1, 16, 17, 40])
+    def test_list_and_array_descents_are_bit_identical(self, width):
+        rng = np.random.default_rng(width)
+        n = regressors._SVR_LIST_ROWS + 44  # a full block of rows and a partial one
+        X = rng.normal(size=(n, width)) * rng.uniform(0.1, 10.0, size=width)
+        Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+        Y = Xs @ rng.normal(size=(width, 3)) + rng.normal(size=(n, 3))
+        for d in range(3):
+            args = (Xs, Y[:, d], 3, 0.01, 1.0 / n, 0.1, d)
+            w_list, b_list = regressors._svr_descent_lists(*args)
+            w_array, b_array = regressors._svr_descent_array(*args)
+            assert w_list.tobytes() == w_array.tobytes()
+            assert np.float64(b_list).tobytes() == np.float64(b_array).tobytes()
+
+    @pytest.mark.parametrize("width, loop", [(16, "_svr_descent_lists"),
+                                             (17, "_svr_descent_array")])
+    def test_fit_takes_the_list_descent_up_to_the_cutoff(self, rng, monkeypatch, width, loop):
+        called = []
+        real = getattr(regressors, loop)
+        monkeypatch.setattr(regressors, loop, lambda *a: called.append(a[-1]) or real(*a))
+        LinearSvr(epochs=1).fit(rng.normal(size=(20, width)), rng.normal(size=(20, 3)))
+        assert called == [0, 1, 2]
+
+    def test_reference_room_fit_is_bit_identical(self, small_room_split):
+        train = small_room_split.train
+        m = LinearSvr().fit(train.features, train.labels)
+        assert _sha256(m._W, m._b) == SVR_ROOM_SHA256
+
+    @pytest.mark.parametrize("width", [3, 20])
+    @pytest.mark.parametrize("learning_rate, reg_c", [(0.01, 1e-5), (10.0, 1e-3)])
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_divergence_raises_with_column_and_epoch(self, rng, width, learning_rate, reg_c):
+        X = rng.normal(size=(50, width))
+        Y = rng.normal(size=(50, 3))
+        with pytest.raises(ValueError, match=r"diverged .* output column 0 at epoch \d+"):
+            LinearSvr(learning_rate=learning_rate, reg_c=reg_c).fit(X, Y)
 
 
 class TestMlp:
@@ -801,6 +863,43 @@ class TestMlp:
             MlpRegressor(epochs=-1)
         with pytest.raises(ValueError, match="learning_rate must be > 0, got 0.0"):
             MlpRegressor(learning_rate=0.0)
+
+    def test_reference_room_fit_is_bit_identical(self, small_room_split):
+        train = small_room_split.train
+        m = MlpRegressor(hidden_units=32, epochs=30, seed=1).fit(train.features, train.labels)
+        assert _sha256(m.W1, m.b1, m.W2, m.b2) == MLP_ROOM_SHA256
+        assert _sha256(np.array(m.loss_history)) == MLP_ROOM_LOSS_SHA256
+
+    def test_work_buffers_give_the_same_bits(self, rng):
+        n, m, h, k = 40, 5, 12, 3
+        params = (rng.normal(size=(m, h)), rng.normal(size=h), rng.normal(size=(h, k)),
+                  rng.normal(size=k))
+        Xs = rng.normal(size=(n, m))
+        Y = rng.normal(size=(n, k))
+        loss, grads = mlp_loss_and_grads(params, Xs, Y)
+        work = regressors._mlp_work(n, h, k)
+        for _ in range(2):  # a reused, already written work gives the same again
+            loss_w, grads_w = mlp_loss_and_grads(params, Xs, Y, work)
+            assert loss_w == loss
+            for g, g_w in zip(grads, grads_w):
+                assert g.tobytes() == g_w.tobytes()
+                assert not any(np.shares_memory(g_w, buf) for buf in work.values())
+
+    @pytest.mark.parametrize("change, message", [
+        ({"b1": np.zeros(5)}, r"b1 must have shape \(4,\), got \(5,\)"),
+        ({"x_mean": np.zeros(7)}, r"x_mean must have shape \(3,\), got \(7,\)"),
+        ({"x_std": np.zeros(3)}, r"x_std must be finite and > 0, got 0.0 at index \(0,\)"),
+        ({"x_std": [1.0, np.inf, 1.0]}, r"x_std must be finite and > 0, got inf at index \(1,\)"),
+        ({"W2": np.ones((5, 3))}, r"W2 must have shape \(4, k\) with k >= 1, got \(5, 3\)"),
+        ({"W1": np.ones(3)}, r"W1 must be a non-empty \(m, h\) matrix, got shape \(3,\)"),
+        ({"b2": [0.0, np.nan, 0.0]}, r"b2 must be finite, got nan at index \(1,\)"),
+    ])
+    def test_from_parameters_rejects_bad_parameters(self, change, message):
+        params = {"W1": np.ones((3, 4)), "b1": np.zeros(4), "W2": np.ones((4, 3)),
+                  "b2": np.zeros(3)}
+        params.update(change)
+        with pytest.raises(ValueError, match=message):
+            MlpRegressor.from_parameters(**params)
 
 
 def test_cart_fit_wrapper_passes_depth():

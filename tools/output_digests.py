@@ -2,7 +2,8 @@
 with a diff of their printouts.
 
 Covered: fit_model predictions for every id of the registry grammar and for
-tuned EnsembleSpecs, band-select importance scores and dddas_cycle results,
+tuned EnsembleSpecs, svr and mlp predictions on a 40-bin band, band-select
+importance scores and dddas_cycle results,
 and the files and console output of each CLI command. Fit times are dropped
 before hashing, and temporary paths are replaced by a placeholder.
 
@@ -91,6 +92,10 @@ def importance_digests() -> None:
     report = bandselect.permutation_importance(model, split.test, n_repeats=3, seed=3)
     _emit("permutation_importance dtr scores", np.array(report.scores_m))
     _emit("permutation_importance dtr baseline", repr(report.baseline_rmse_m))
+    # 40 columns: svr takes its numpy descent here, the list one on the room set
+    for model_id in ("svr", "mlp"):
+        model = registry.fit_model(model_id, split.train, seed=2)
+        _emit(f"fit_model {model_id} on 40 bins", model.predict(split.test.features))
     rated, before, after = bandselect.dddas_cycle(scenario, config, positions, "dtr", top_k=5, seed=4)
     _emit("dddas_cycle rated band", repr(rated))
     for label, rep in (("before", before), ("after", after)):
