@@ -90,11 +90,11 @@ def select_rated_band(
     Ties are broken toward the lower frequency; the selected band is re-sorted
     ascending. Step, sample rate, and samples-per-position pass through from
     `base` (the band is the parameter being optimized); the reconfiguration
-    counter is incremented.
+    counter is incremented. top_k must be an integer (not a bool) in
+    [1, number of frequencies].
     """
     m = len(report.frequencies_mhz)
-    if not 1 <= top_k <= m:
-        raise ValueError(f"top_k must be in [1, {m}], got {top_k}")
+    _check_count("top_k", top_k, 1, m)
     order = sorted(range(m), key=lambda j: (-report.scores_m[j], report.frequencies_mhz[j]))
     chosen = tuple(sorted(report.frequencies_mhz[j] for j in order[:top_k]))
     if base is None:
@@ -123,6 +123,7 @@ def dddas_cycle(
     from .simulate import generate_dataset
 
     _check_count("seed", seed, 0)
+    _check_count("top_k", top_k, 1)
     if not top_k < full_config.n_frequencies:
         raise ValueError(
             f"top_k ({top_k}) must be smaller than the full band "

@@ -7,6 +7,7 @@ after fit) and safe to share across threads for predict.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -563,13 +564,14 @@ def _check_schedule(epochs, learning_rate) -> None:
     _check_real("learning_rate", learning_rate, lambda v: v > 0, "> 0")
 
 
-# Widest input whose svr descent runs on Python float lists. One epoch of
-# one output on 4200 rows (2-core Xeon VM) took 6 ms on lists against 12 ms
-# on numpy rows at 5 columns, the two were even at 16-20 columns, and
-# numpy's `w @ x` won at 40 (12 vs 23 ms) and 400 (15 vs 220 ms). A whole
-# reference-room fit went from 2.8-2.9 s to 1.0-1.2 s. The two loops gave
-# bit-identical weights at every width tried, 1 to 400.
-_SVR_LIST_WIDTH = 16
+# Widest input whose svr descent runs on the generated per-width kernel.
+# One epoch of one output on 4200 rows (2-core Xeon VM, 5 timings each) took
+# 2.9-3.2 ms on the kernel against 22-25 ms on numpy rows at 5 columns,
+# 6.3-7.3 against 24-26 ms at 16, 14-16 against 23-24 ms at 32, and the
+# ranges met at 40 (17-19 against 16-23 ms); at 64 numpy's `w @ x` was ahead
+# (22-25 against 24-30 ms). The two loops gave bit-identical weights at every
+# width tried, 1 to 64.
+_SVR_LIST_WIDTH = 32
 
 # Rows converted to Python floats at a time. A row's floats take about five
 # times its numpy bytes, and converting all 4200 reference-room rows at once
@@ -587,34 +589,70 @@ def _check_descent(w, bd, column, epoch) -> None:
         )
 
 
+def _svr_epoch_source(m) -> str:
+    """Python source of one svr descent epoch over inputs of width m.
+
+    The weights live in the locals w0..w{m-1} and each row is unpacked into
+    x0..x{m-1}, so a step builds no list. The dot product runs left to
+    right from 0.0 and each update keeps the numpy expression's operation
+    order, so the weights are bit-identical to _svr_descent_array. Raises
+    ValueError unless m is an int >= 1; the source depends on nothing else.
+    """
+    _check_count("width", m, 1)
+    idx = range(m)
+    ws = ", ".join(f"w{i}" for i in idx)
+    xs = ", ".join(f"x{i}" for i in idx)
+    dot = " + ".join(["0.0", *(f"w{i} * x{i}" for i in idx)])
+
+    def update(expr):
+        return "\n".join(f"                w{i} = {expr.format(i=i)}" for i in idx)
+
+    return f"""\
+def epoch(Xs, targets, w, bd, lr, lam, decay, eps, block):
+    {ws}, = w
+    for start in range(0, Xs.shape[0], block):
+        rows = Xs[start : start + block].tolist()
+        for ({xs},), target in zip(rows, targets[start : start + block]):
+            s = {dot}
+            err = target - (s + bd)
+            if err > eps:
+{update("w{i} + lr * (x{i} - lam * w{i})")}
+                bd += lr
+            elif err < -eps:
+{update("w{i} - lr * (x{i} + lam * w{i})")}
+                bd -= lr
+            else:
+{update("w{i} - decay * w{i}")}
+    return ({ws},), bd
+"""
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _svr_epoch_kernel(m):
+    """The compiled epoch of _svr_epoch_source(m), built once per width.
+
+    LinearSvr.fit asks only for widths up to _SVR_LIST_WIDTH, so the cache
+    holds at most that many kernels.
+    """
+    namespace: dict = {}
+    exec(compile(_svr_epoch_source(m), f"<svr epoch, width {m}>", "exec"), namespace)
+    return namespace["epoch"]
+
+
 def _svr_descent_lists(Xs, y, epochs, lr, lam, eps, column):
     """One output's subgradient descent on Python floats: (w, b).
 
-    Each step does the numpy loop's operations in the same order (the dot
-    product left to right), so the weights are bit-identical to it; a narrow
-    row pays no numpy call overhead. Rows are converted _SVR_LIST_ROWS at a
-    time.
+    Each epoch runs the generated kernel for Xs's width, so a narrow row pays
+    no numpy call overhead and the weights are bit-identical to the numpy
+    loop. Rows are converted _SVR_LIST_ROWS at a time.
     """
+    epoch_pass = _svr_epoch_kernel(Xs.shape[1])
     targets = y.tolist()
     decay = lr * lam
-    w = [0.0] * Xs.shape[1]
+    w = (0.0,) * Xs.shape[1]
     bd = 0.0
     for epoch in range(epochs):
-        for start in range(0, Xs.shape[0], _SVR_LIST_ROWS):
-            rows = Xs[start : start + _SVR_LIST_ROWS].tolist()
-            for x, target in zip(rows, targets[start : start + _SVR_LIST_ROWS]):
-                s = 0.0
-                for a, c in zip(w, x):
-                    s += a * c
-                err = target - (s + bd)
-                if err > eps:
-                    w = [a + lr * (c - lam * a) for a, c in zip(w, x)]
-                    bd += lr
-                elif err < -eps:
-                    w = [a - lr * (c + lam * a) for a, c in zip(w, x)]
-                    bd -= lr
-                else:
-                    w = [a - decay * a for a in w]
+        w, bd = epoch_pass(Xs, targets, w, bd, lr, lam, decay, eps, _SVR_LIST_ROWS)
         _check_descent(w, bd, column, epoch)
     return np.array(w), bd
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from rfloc import simulate
 from rfloc.bandselect import (
     ImportanceReport,
     dddas_cycle,
@@ -243,10 +244,16 @@ class TestSelectRatedBand:
 
     def test_top_k_bounds(self):
         rep = self._report((0.1, 0.2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^top_k must be in \[1, 2\], got 0$"):
             select_rated_band(rep, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^top_k must be in \[1, 2\], got 3$"):
             select_rated_band(rep, 3)
+
+    @pytest.mark.parametrize("top_k", [True, 2.5, "2"])
+    def test_top_k_must_be_an_integer(self, top_k):
+        rep = self._report((0.1, 0.2))
+        with pytest.raises(ValueError, match=rf"^top_k must be an integer, got {re.escape(repr(top_k))}$"):
+            select_rated_band(rep, top_k)
 
 
 class TestDddasCycle:
@@ -275,6 +282,14 @@ class TestDddasCycle:
         scenario, config, positions = make_fullband_scenario(0, n_frequencies=20)
         with pytest.raises(ValueError):
             dddas_cycle(scenario, config, positions, "dtr", top_k=20, seed=0)
+
+    @pytest.mark.parametrize("top_k", [True, 2.5, "2"])
+    def test_top_k_must_be_an_integer(self, monkeypatch, top_k):
+        scenario, config, positions = make_fullband_scenario(0, n_frequencies=20)
+        # the check comes before any dataset is generated
+        monkeypatch.setattr(simulate, "generate_dataset", None)
+        with pytest.raises(ValueError, match=r"^top_k must be an integer"):
+            dddas_cycle(scenario, config, positions, "dtr", top_k=top_k, seed=0)
 
     def test_generated_band_dataset_matches_rated_config(self):
         scenario, config, positions = make_fullband_scenario(2, n_frequencies=20)

@@ -757,22 +757,75 @@ class TestLinearSvr:
         with pytest.raises(ValueError, match="learning_rate must be > 0, got -1"):
             LinearSvr(learning_rate=-1)
 
-    @pytest.mark.parametrize("width", [1, 16, 17, 40])
-    def test_list_and_array_descents_are_bit_identical(self, width):
+    @pytest.mark.parametrize("width", [1, 2, 5, 16, 17, 32, 33, 40, 64])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 5.0])
+    @pytest.mark.parametrize("learning_rate", [0.01, 0.3])
+    def test_list_and_array_descents_are_bit_identical(self, width, epsilon, learning_rate):
         rng = np.random.default_rng(width)
         n = regressors._SVR_LIST_ROWS + 44  # a full block of rows and a partial one
         X = rng.normal(size=(n, width)) * rng.uniform(0.1, 10.0, size=width)
         Xs = (X - X.mean(axis=0)) / X.std(axis=0)
         Y = Xs @ rng.normal(size=(width, 3)) + rng.normal(size=(n, 3))
         for d in range(3):
-            args = (Xs, Y[:, d], 3, 0.01, 1.0 / n, 0.1, d)
+            args = (Xs, Y[:, d], 3, learning_rate, 1.0 / n, epsilon, d)
             w_list, b_list = regressors._svr_descent_lists(*args)
             w_array, b_array = regressors._svr_descent_array(*args)
             assert w_list.tobytes() == w_array.tobytes()
             assert np.float64(b_list).tobytes() == np.float64(b_array).tobytes()
 
-    @pytest.mark.parametrize("width, loop", [(16, "_svr_descent_lists"),
-                                             (17, "_svr_descent_array")])
+    @pytest.mark.parametrize("epsilon, branches", [(0.0, {"up", "down"}),
+                                                   (1e3, {"decay"}),
+                                                   (2.0, {"up", "down", "decay"})])
+    def test_epsilon_selects_the_kernel_branches(self, rng, epsilon, branches):
+        # replays the numpy descent's steps, recording which update each took
+        n, width = 300, 5
+        lr, lam = 0.3, 1.0 / n
+        Xs = rng.normal(size=(n, width))
+        y = Xs @ rng.normal(size=width) * 3.0 + rng.normal(size=n)
+        w, bd, seen = np.zeros(width), 0.0, set()
+        for x, target in zip(Xs, y):
+            err = target - (float(w @ x) + bd)
+            if err > epsilon:
+                seen.add("up")
+                w += lr * (x - lam * w)
+                bd += lr
+            elif err < -epsilon:
+                seen.add("down")
+                w -= lr * (x + lam * w)
+                bd -= lr
+            else:
+                seen.add("decay")
+                w -= lr * lam * w
+        assert seen == branches
+        w_list, b_list = regressors._svr_descent_lists(Xs, y, 1, lr, lam, epsilon, 0)
+        assert w_list.tobytes() == w.tobytes()
+        assert np.float64(b_list).tobytes() == np.float64(bd).tobytes()
+
+    def test_one_kernel_is_built_per_width(self, rng, monkeypatch):
+        built = []
+        monkeypatch.setattr(regressors, "exec", lambda *a: built.append(a) or exec(*a),
+                            raising=False)
+        regressors._svr_epoch_kernel.cache_clear()
+        X = rng.normal(size=(20, 7))
+        LinearSvr(epochs=2).fit(X, rng.normal(size=(20, 3)))
+        LinearSvr(epochs=1).fit(X * 2.0, rng.normal(size=(20, 3)))
+        assert len(built) == 1
+        assert regressors._svr_epoch_kernel(7) is regressors._svr_epoch_kernel(7)
+        assert regressors._svr_epoch_kernel(8) is not regressors._svr_epoch_kernel(7)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("width", [2.0, True, False, 0, -3, "4", None])
+    def test_kernel_refuses_a_bad_width_before_exec(self, monkeypatch, width):
+        # with widths 1 and 2 cached, True and 2.0 must still reach the check
+        regressors._svr_epoch_kernel(1), regressors._svr_epoch_kernel(2)
+        built = []
+        monkeypatch.setattr(regressors, "exec", lambda *a: built.append(a), raising=False)
+        with pytest.raises(ValueError, match=r"^width must be"):
+            regressors._svr_epoch_kernel(width)
+        assert built == []
+
+    @pytest.mark.parametrize("width, loop", [(32, "_svr_descent_lists"),
+                                             (33, "_svr_descent_array")])
     def test_fit_takes_the_list_descent_up_to_the_cutoff(self, rng, monkeypatch, width, loop):
         called = []
         real = getattr(regressors, loop)
