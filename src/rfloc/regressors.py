@@ -194,10 +194,17 @@ class SplitRecord:
     value_range: tuple[float, float]  # (min, max) of the chosen feature at the node
 
 
-# Elements per block of the tree kernel's sort, scan and partition steps; it
-# bounds their temporaries (a larger scan block once raised band-select's
-# peak RSS from 119 to 201 MB).
-_BLOCK = 1 << 14
+# Elements per block of the tree kernel's sort, scan and partition steps: a
+# block of features holds about _BLOCK of a node's rows in all, so the scan's
+# [Y | Y*Y] gather holds about 2 * outputs * _BLOCK floats (a larger scan block
+# once raised band-select's peak RSS from 119 to 201 MB). On two cores the
+# 400-bin band-select dtr fit took 1.60, 1.41, 1.45 and 1.39 s (medians of 10
+# in-process rounds) at 2**13 to 2**16, and 1.40 against 1.39 s at 2**14 and
+# 2**15 over 20 more. At 2**15 band-select's peak RSS read 119.5-124.3 MB over
+# five seeds (the old scan at 2**14: 119.4-125.0; bimodal on both). 2**16 would
+# double the 400-bin root scan's 1.4 MB gather, past the allowance of
+# test_fit_holds_one_small_order_array.
+_BLOCK = 1 << 15
 
 
 def column_order(X: np.ndarray) -> np.ndarray:
@@ -217,21 +224,43 @@ def column_order(X: np.ndarray) -> np.ndarray:
     return order
 
 
-def _sse(s1, s2, count):
-    """Squared error about the mean, summed over the last axis (the outputs),
-    from the sums s1 and s2 of count values and of their squares.
+def _sum_outputs(e):
+    """e summed over its first axis (the outputs), with the bits of numpy's
+    .sum over a contiguous last axis; below 8 outputs the sum is built in e[0].
 
-    numpy sums fewer than 8 values in order, so adding the outputs one by one
-    gives the same bits as .sum(axis=-1), about ten times faster on the
-    scan's short trailing axis.
+    numpy adds fewer than 8 values in order, so adding the rows one by one
+    matches it; from 8 on it sums in an unrolled pairwise order, which a
+    contiguous copy with the outputs last reproduces.
     """
-    e = s2 - s1 * s1 / count
-    if e.shape[-1] >= 8:
-        return e.sum(axis=-1)
-    total = e[..., 0].copy()
-    for i in range(1, e.shape[-1]):
-        total += e[..., i]
+    if e.shape[0] >= 8:
+        return np.ascontiguousarray(np.moveaxis(e, 0, -1)).sum(axis=-1)
+    total = e[0]
+    for i in range(1, e.shape[0]):
+        total += e[i]
     return total
+
+
+def _gains(S1, S2, tot1, tot2, n_left, n_right, sse_node):
+    """Variance-reduction gain of each candidate left side, from its prefix
+    sums S1 of the labels and S2 of their squares (outputs first, n_left
+    rows each) and the node's totals (n_left + n_right rows). Each output's
+    squared error is s2 - s1 * s1 / count; S1 and S2 are overwritten with
+    the left and the right ones, an output at a time.
+    """
+    right = np.empty_like(S1[0])
+    for s1, s2, t1, t2 in zip(S1, S2, tot1, tot2):
+        np.subtract(t1, s1, out=right)
+        s1 *= s1
+        s1 /= n_left
+        np.subtract(s2, s1, out=s1)
+        np.subtract(t2, s2, out=s2)
+        right *= right
+        right /= n_right
+        s2 -= right
+    gain = _sum_outputs(S1)
+    np.subtract(sse_node, gain, out=gain)
+    gain -= _sum_outputs(S2)
+    return gain
 
 
 class CartRegressor(Model):
@@ -247,7 +276,10 @@ class CartRegressor(Model):
 
     The midpoint scan sorts each column once per fit (column_order) and
     stably partitions that order at every split, so each node sees its rows
-    in ascending value order, ties in row order, without sorting. After fit,
+    in ascending value order, ties in row order, without sorting. A node
+    scans its features a block at a time, features-major: it gathers the
+    fit's [Y | Y*Y] table (one row per output and per square) in each
+    feature's order and takes one cumsum along the rows. After fit,
     train_leaf holds the leaf each training row reached.
     """
 
@@ -298,6 +330,8 @@ class CartRegressor(Model):
         train_leaf = np.empty(n, dtype=np.intp)
         goes_left = np.zeros(n, dtype=bool)
         rng = np.random.default_rng(self.seed)
+        # the labels and their squares, one contiguous row per output
+        YY = None if order is None else np.concatenate([Y.T, (Y * Y).T])
         # Explicit preorder stack (left child first) instead of recursion:
         # near-duplicate rows can produce trees deeper than Python's
         # recursion limit. A node's rows are ascending and own the positions
@@ -325,7 +359,7 @@ class CartRegressor(Model):
             if self.random_thresholds:
                 split = self._best_random_split(X, Yn, rows, feats, rng)
             else:
-                split = self._best_midpoint_split(X, Y, Yn, order[:, lo : lo + rows.size], feats)
+                split = self._best_midpoint_split(X, YY, Yn, order[:, lo : lo + rows.size], feats)
             if split is None:
                 continue
             f, thr, vlo, vhi = split
@@ -333,7 +367,7 @@ class CartRegressor(Model):
             if mask.all() or not mask.any():
                 continue  # degenerate split; keep the node as a leaf
             self.split_log.append(
-                SplitRecord(int(f), float(thr), tuple(int(c) for c in feats), (vlo, vhi))
+                SplitRecord(int(f), float(thr), tuple(feats.tolist()), (vlo, vhi))
             )
             self._feature[node] = int(f)
             self._threshold[node] = float(thr)
@@ -362,64 +396,62 @@ class CartRegressor(Model):
         self._value.append(None)
         return len(self._feature) - 1
 
-    def _best_midpoint_split(self, X, Y, Yn, seg, feats):
+    def _best_midpoint_split(self, X, YY, Yn, seg, feats):
         """The best (feature, threshold, min, max) over feats, or None; seg is
-        the node's part of the column order (its rows, sorted per feature)."""
-        k = Yn.shape[0]
+        the node's part of the column order (its rows, sorted per feature)
+        and YY the fit's (2 * outputs, n) table of the labels and their
+        squares."""
+        k, d = Yn.shape
         tot1 = Yn.sum(axis=0)
         tot2 = (Yn * Yn).sum(axis=0)
         sse_node = float((tot2 - tot1 * tot1 / k).sum())
         if sse_node <= 0.0:
             return None
-        # A prefix of j+1 sorted rows is a candidate left side when the value
-        # changes after it and both sides keep min_samples_leaf rows.
-        n_left = np.arange(1, k)
+        # The prefix of j+1 sorted rows is a candidate left side when the
+        # value changes after it; lo:hi are the j that leave both sides
+        # min_samples_leaf rows (the caller ensures k >= 2 * min_samples_leaf).
+        lo, hi = self.min_samples_leaf - 1, k - self.min_samples_leaf
+        n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)  # float: no cast per divide
         n_right = k - n_left
-        size_ok = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
-        if not size_ok.any():
-            return None
         best = None
         best_gain = 0.0
-        # All candidate features of a block at once, one column each; the
-        # block keeps the (rows, features, outputs) temporaries near _BLOCK.
-        block = max(1, _BLOCK // (k * Yn.shape[1]))
+        # A block of features at a time, each a contiguous row of the scan:
+        # the (2 * outputs, features, rows) temporaries stay near 2d * _BLOCK.
+        block = max(1, _BLOCK // k)
         for start in range(0, len(feats), block):
             fb = feats[start : start + block]
-            idx = seg[fb].T  # (k, features): each column's rows in value order
-            vs = X[idx, fb]
-            Ys = Y.take(idx, axis=0)  # (k, features, outputs)
-            c1 = np.cumsum(Ys, axis=0)[:-1]
-            c2 = np.cumsum(Ys * Ys, axis=0)[:-1]
-            ok = (vs[:-1] != vs[1:]) & size_ok[:, None]
+            idx = seg[fb]  # (features, k): each feature's rows in value order
+            vs = X[idx, fb[:, None]]
+            # prefixes past hi are never a left side
+            S = YY.take(idx[:, :hi], axis=1)
+            np.cumsum(S, axis=2, out=S)  # left to right, as the sums always were
+            ok = vs[:, lo:hi] != vs[:, lo + 1 : hi + 1]
             if 2 * np.count_nonzero(ok) < ok.size:
                 # Few distinct values: the gain arithmetic only at candidates.
-                at = np.flatnonzero(ok)  # position j of feature c is j * len(fb) + c
-                c1 = c1.reshape(-1, c1.shape[2]).take(at, axis=0)
-                c2 = c2.reshape(-1, c2.shape[2]).take(at, axis=0)
-                nl = n_left.take(at // len(fb))[:, None]
-                cand = sse_node - _sse(c1, c2, nl)
-                cand -= _sse(tot1 - c1, tot2 - c2, k - nl)
-                gain = np.full(ok.size, -np.inf)
-                gain[at] = cand
-                gain = gain.reshape(ok.shape)
+                at = np.flatnonzero(ok)  # position j of feature c is c * (hi - lo) + j - lo
+                c_at, j_at = np.divmod(at, hi - lo)
+                S = S.reshape(2 * d, -1).take(c_at * hi + lo + j_at, axis=1)
+                gain = np.full(ok.shape, -np.inf)
+                gain.ravel()[at] = _gains(S[:d], S[d:], tot1, tot2, n_left.take(j_at),
+                                            n_right.take(j_at), sse_node)
             else:
-                sse_l = _sse(c1, c2, n_left[:, None, None])
-                sse_r = _sse(tot1 - c1, tot2 - c2, n_right[:, None, None])
-                gain = np.where(ok, sse_node - sse_l - sse_r, -np.inf)
-            js = np.argmax(gain, axis=0)  # first max: lowest threshold wins ties
-            col_gain = gain[js, np.arange(len(fb))]
+                gain = _gains(S[:d, :, lo:], S[d:, :, lo:], tot1, tot2, n_left, n_right, sse_node)
+                gain[~ok] = -np.inf
+            js = np.argmax(gain, axis=1)  # first max: lowest threshold wins ties
+            col_gain = gain[np.arange(len(fb)), js]
             col_gain[np.isnan(col_gain)] = -np.inf  # a NaN gain never wins a feature
             c = int(np.argmax(col_gain))  # first max: lowest feature wins ties
             if col_gain[c] > best_gain:
                 best_gain = float(col_gain[c])
-                j = js[c]
-                thr = (vs[j, c] + vs[j + 1, c]) / 2.0
-                if thr >= vs[j + 1, c]:
+                j = lo + js[c]
+                thr = (vs[c, j] + vs[c, j + 1]) / 2.0
+                if thr >= vs[c, j + 1]:
                     # midpoint of adjacent doubles can round up to the higher
                     # value; fall back to the lower one so "<= thr" still
                     # separates the two groups
-                    thr = vs[j, c]
-                best = (int(fb[c]), float(thr), float(vs[0, c]), float(vs[-1, c]))
+                    thr = vs[c, j]
+                best = (int(fb[c]), float(thr), float(vs[c, 0]), float(vs[c, -1]))
+            del S, gain  # freed before the next block is gathered
         return best
 
     def _best_random_split(self, X, Yn, rows, feats, rng):
@@ -521,8 +553,8 @@ class GprRegressor(Model):
     def _kernel(self, A, B):
         """The kernel matrix, computed in the cdist buffer with no n x n temporaries."""
         K = cdist(A, B, "sqeuclidean")
-        np.negative(K, out=K)
-        np.divide(K, 2.0 * self.length_scale**2, out=K)
+        # -d / c and d / -c round alike: IEEE division is sign-symmetric
+        np.divide(K, -2.0 * self.length_scale**2, out=K)
         np.exp(K, out=K)
         np.multiply(K, self.signal_variance, out=K)
         return K
@@ -536,8 +568,10 @@ class GprRegressor(Model):
             K.flat[:: K.shape[0] + 1] += jitter
             try:
                 # K is exactly symmetric, so K.T is the Fortran-ordered copy
-                # LAPACK wants; potrf writes L over it.
-                L = cholesky(K.T, lower=True, overwrite_a=True)
+                # LAPACK wants; potrf writes L over it. K is finite (exp of
+                # finite distances), so the finiteness scans are skipped here
+                # and below: L comes from a successful potrf.
+                L = cholesky(K.T, lower=True, overwrite_a=True, check_finite=False)
                 break
             except LinAlgError:
                 del K  # potrf wrote over it; free it before the rebuild
@@ -547,8 +581,8 @@ class GprRegressor(Model):
                 f"kernel matrix is singular even after jitter escalation to {jitter / 10.0:g}"
             )
         self._y_mean = Y.mean(axis=0)
-        z = solve_triangular(L, Y - self._y_mean, lower=True)
-        self._alpha = solve_triangular(L.T, z, lower=False)
+        z = solve_triangular(L, Y - self._y_mean, lower=True, check_finite=False)
+        self._alpha = solve_triangular(L.T, z, lower=False, check_finite=False)
         self._X = X.copy()  # the caller's array may change after fit
         self.effective_jitter = jitter
         return self._mark_fitted(X.shape[1], Y.shape[1])

@@ -530,25 +530,80 @@ def _kernel_case(name, rng):
         idx = rng.integers(0, 400, size=400)
         assert np.unique(idx).size < 400
         return X[idx], Y[idx], {}
+    if name in ("eight-outputs", "nine-outputs"):
+        # numpy sums 8 or more outputs in an unrolled pairwise order, not left
+        # to right; output scales far apart make the two orders round apart
+        d = 8 if name == "eight-outputs" else 9
+        Y = rng.normal(size=(300, d)) * 10.0 ** rng.integers(-6, 7, size=d)
+        return rng.normal(size=(300, 4)), Y, {}
+    if name == "one-output":
+        # the shape of every gradient-boosting tree
+        X = rng.normal(size=(500, 5))
+        X[:, 1] = rng.integers(0, 8, size=500)
+        return X, rng.normal(size=(500, 1)) + X[:, 1:2], {}
+    if name == "wide-root-one-feature-per-block":
+        # the root's rows fill a whole scan block, so it scans one feature
+        # per block; the deep nodes scan every feature in one block
+        n = regressors._BLOCK // 2 + 1
+        assert regressors._BLOCK // n == 1
+        return rng.normal(size=(n, 12)), rng.normal(size=(n, 3)), {"max_depth": 9}
+    if name == "tie-across-blocks":
+        # the root scans two features per block, and column 6 copies the
+        # most informative column 1 in a later block: the tie goes to 1
+        n = regressors._BLOCK // 3 + 1
+        assert regressors._BLOCK // n == 2
+        X = rng.integers(0, 5, size=(n, 7)).astype(np.float64)
+        X[:, 6] = X[:, 1]
+        return X, rng.normal(size=(n, 3)) + X[:, 1:2], {"max_depth": 4}
+    if name == "few-values-min-leaf-3":
+        X = rng.integers(0, 4, size=(400, 5)).astype(np.float64)
+        return X, rng.normal(size=(400, 3)) + X[:, :1], {"min_samples_leaf": 3}
+    if name == "infinite-gains":
+        # labels near 5e152: every square and total stays finite, but some
+        # prefix sums square past the largest double, so the gain is +inf
+        X = rng.normal(size=(200, 3))
+        return X, np.sign(X[:, :1] + rng.normal(size=(200, 1))) * 5e152, {}
+    if name == "overflowing-squares":
+        # two labels near 1e160 square to inf: every gain at a node that holds
+        # them is NaN, and a NaN gain drops its feature, so the root stays a leaf
+        Y = rng.normal(size=(100, 3))
+        Y[[10, 20], 0] = [1e160, -1e160]
+        return rng.normal(size=(100, 4)), Y, {}
     assert name == "random-thresholds"
     return rng.normal(size=(200, 5)), rng.normal(size=(200, 3)), {
         "random_thresholds": True, "max_features": 2, "seed": 4}
 
 
+def _assert_same_tree(got, want):
+    for name in ("_feature", "_threshold", "_left", "_right", "_value"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    assert got.split_log == want.split_log
+
+
 class TestPresortedCart:
     @pytest.mark.parametrize("case", ["tie-heavy-grid", "mixed-columns", "adjacent-doubles-min-leaf",
                                       "max-features-seeded", "bootstrap-duplicates",
-                                      "random-thresholds"])
+                                      "random-thresholds", "eight-outputs", "nine-outputs",
+                                      "one-output", "wide-root-one-feature-per-block",
+                                      "tie-across-blocks", "few-values-min-leaf-3",
+                                      pytest.param("infinite-gains", marks=pytest.mark.filterwarnings(
+                                          "ignore:overflow encountered"))])
     def test_tree_is_bit_identical_to_per_node_sorting(self, rng, case):
         X, Y, params = _kernel_case(case, rng)
         got = CartRegressor(**params).fit(X, Y)
         want = _reference_cart(X, Y, **params)
         assert got.node_count > 3
-        for name in ("_feature", "_threshold", "_left", "_right", "_value"):
-            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
-        assert got.split_log == want.split_log
+        _assert_same_tree(got, want)
         # the leaf each training row reached during fit is the one predict finds
         assert np.array_equal(got._value[got.train_leaf], got.predict(X))
+
+    def test_overflowing_squares_keep_the_root_a_leaf(self, rng):
+        X, Y, params = _kernel_case("overflowing-squares", rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = CartRegressor(**params).fit(X, Y)
+            want = _reference_cart(X, Y, **params)
+        assert got.node_count == 1 and not got.split_log
+        _assert_same_tree(got, want)
 
     @pytest.mark.parametrize("outputs", [1, 2, 3, 7, 8, 9, 20])
     def test_output_sums_match_numpy_bit_for_bit(self, rng, outputs):
@@ -558,7 +613,8 @@ class TestPresortedCart:
         s2 = s1 * s1 + rng.random(size=shape)
         count = np.arange(1, 301)[:, None, None]
         want = (s2 - s1 * s1 / count).sum(axis=2)
-        assert np.array_equal(regressors._sse(s1, s2, count), want)
+        e = np.moveaxis(s2 - s1 * s1 / count, 2, 0).copy()  # outputs first, as the scan holds them
+        assert np.array_equal(regressors._sum_outputs(e), want)
 
     def test_a_shared_order_is_read_not_written(self, rng):
         X = rng.integers(0, 4, size=(200, 3)).astype(np.float64)
@@ -678,6 +734,11 @@ class TestGpr:
         K = m._kernel(X, X)
         assert np.array_equal(K, K.T)
 
+    def test_reference_room_fit_is_bit_identical(self, small_room_split):
+        m = GprRegressor().fit(small_room_split.train.features, small_room_split.train.labels)
+        got = (_sha256(m._alpha), _sha256(m.predict(small_room_split.test.features)))
+        assert got in GPR_ROOM_SHA256
+
     def test_fit_holds_about_one_kernel_matrix(self, rng):
         # tracemalloc sees numpy's and f2py's buffers; a fit that builds its
         # kernel out of place peaks near three n x n float64 arrays.
@@ -722,6 +783,14 @@ def small_room_split():
 SVR_ROOM_SHA256 = "4e55cc5c295774265646625a50bda353433ea94b64365b30412b5de3ea4e04d4"
 MLP_ROOM_SHA256 = "05f0f54691a0da7644bfcbc4fb95df377e248846df10237544cf6d00ba8d0d2e"
 MLP_ROOM_LOSS_SHA256 = "c8f1edeb9ff530703e721dc058b350f169848af7b0da69e7f0aca3241aaace8b"
+# (alpha, predictions on the test rows): OpenBLAS factors a 420 x 420 kernel
+# with one thread or with several, and the two round apart
+GPR_ROOM_SHA256 = {
+    ("5dccc0711735a53eeeafdeaebb8aa2133d7b2c694c49fed6bb149f5294d88fc0",
+     "acfdf805938302559fbde62697405a096b873e20a42f445da619939385877dea"),
+    ("49b509309f4f5c8a4a745c03d31f29f224115800953396ae607029433db613ec",
+     "e9d8a1b2a1839480a4d81dd079719b0f72d28e5f25173b1f619cb69382e063a3"),
+}
 
 
 class TestLinearSvr:

@@ -3,8 +3,9 @@ with a diff of their printouts.
 
 Covered: fit_model predictions for every id of the registry grammar and for
 tuned EnsembleSpecs, svr and mlp predictions on a 40-bin band, band-select
-importance scores and dddas_cycle results,
-and the files and console output of each CLI command. Fit times are dropped
+importance scores and dddas_cycle results, the split structure of two
+benchmark trees (the band-select 400-bin dtr and every tree of the room-stack
+stacking final), and the files and console output of each CLI command. Fit times are dropped
 before hashing, and temporary paths are replaced by a placeholder.
 
     python tools/output_digests.py > digests.txt
@@ -102,6 +103,34 @@ def importance_digests() -> None:
         _emit(f"dddas_cycle {label}", repr((rep.model_id, rep.rmse_m, rep.r2, rep.ce95_m)))
 
 
+TREE_ARRAYS = ("_feature", "_threshold", "_left", "_right", "_value", "train_leaf")
+
+
+def _seed_split(scenario_maker, seed: int, *args):
+    """The benchmark's split for seed: layout seed 0, noise and split drawn by seed."""
+    scenario, config, positions = scenario_maker(0, *args)
+    scenario = dataclasses.replace(scenario, rng_seed=seed)
+    return core.train_test_split(simulate.generate_dataset(scenario, config, positions), 0.7, seed=seed)
+
+
+def structure_digests() -> None:
+    """The split structure of two benchmark trees: a threshold that moves
+    between two test rows changes these lines but no prediction."""
+    def emit_trees(label, trees):
+        for name in TREE_ARRAYS:
+            _emit(f"{label} {name}", b"".join(
+                np.ascontiguousarray(getattr(tree, name)).tobytes() for tree in trees))
+
+    split = _seed_split(simulate.make_fullband_scenario, 1, 400)
+    emit_trees("band-select dtr, 400 bins, seed 1,",
+               [registry.fit_model("dtr", split.train, seed=1)])
+    split = _seed_split(simulate.make_reference_scenario, 1)
+    stack = registry.fit_model(EnsembleSpec("stacking", base=("knr", "dtr"), final="gbr"),
+                               split.train, seed=1)
+    emit_trees("room-stack stacking-gbr[knr+dtr] final trees, seed 1,",
+               [tree for trees in stack.final_._trees for tree in trees])
+
+
 def _scan_text() -> str:
     """A small rtl_power scan: three rows over 88-90 MHz in 0.5 MHz steps."""
     lines = []
@@ -169,6 +198,7 @@ def cli_digests() -> None:
 def main() -> int:
     model_digests()
     importance_digests()
+    structure_digests()
     cli_digests()
     return 0
 
