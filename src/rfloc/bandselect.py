@@ -6,9 +6,11 @@ importance), then reconfigures the sensor to the few highest-impact
 frequencies. Shuffling is model-agnostic and exactly reproducible, which is
 why it is used here as the ranking step. Only the columns a model reads
 (Model.used_features) are shuffled; a tree over a wide band reads a fraction
-of them, and every other column scores 0.0 without a predict. One cycle is normally enough while
-the ambient transmitters stay put; callers can run further cycles on the
-reduced band if the environment changes.
+of them, and every other column scores 0.0 without a predict. A single tree
+re-routes only the rows whose path tests the shuffled column
+(CartRegressor.permuted_predictions). One cycle is normally enough while the
+ambient transmitters stay put; callers can run further cycles on the reduced
+band if the environment changes.
 """
 
 from __future__ import annotations
@@ -50,7 +52,11 @@ def permutation_importance(model, test: Dataset, n_repeats: int = 5, seed: int =
     ignores a column scores exactly 0 on it: only the columns in
     model.used_features() are shuffled and predicted, and every other column
     is written 0.0 without a predict. A model without used_features has every
-    column shuffled. n_repeats must be an integer >= 1.
+    column shuffled. A model with permuted_predictions (a CartRegressor)
+    gives every shuffled prediction from it; any other model predicts a
+    shuffled copy of the test features once per column and repeat. Each
+    repeat is scored on a full prediction array either way, so the scores are
+    the same. n_repeats must be an integer >= 1.
     """
     _check_count("n_repeats", n_repeats, 1)
     _check_count("seed", seed, 0)
@@ -65,13 +71,16 @@ def permutation_importance(model, test: Dataset, n_repeats: int = 5, seed: int =
     baseline = rmse(test.labels, model.predict(X))
     scores = np.zeros(test.m)
     used = getattr(model, "used_features", None)
-    work = X.copy()
-    for j in range(test.m) if used is None else used():
+    shuffles = (
+        (j, [_child_rng(seed, j, r).permutation(test.n) for r in range(n_repeats)])
+        for j in (range(test.m) if used is None else used())
+    )
+    permuted = getattr(model, "permuted_predictions", None)
+    pairs = permuted(X, shuffles) if permuted else _copy_shuffle_predictions(model, X, shuffles)
+    for j, predictions in pairs:
         increase = 0.0
-        for r in range(n_repeats):
-            work[:, j] = X[_child_rng(seed, j, r).permutation(test.n), j]
-            increase += rmse(test.labels, model.predict(work)) - baseline
-        work[:, j] = X[:, j]
+        for pred in predictions:
+            increase += rmse(test.labels, pred) - baseline
         scores[j] = increase / n_repeats
     return ImportanceReport(
         frequencies_mhz=test.frequencies_mhz,
@@ -80,6 +89,20 @@ def permutation_importance(model, test: Dataset, n_repeats: int = 5, seed: int =
         seed=seed,
         baseline_rmse_m=baseline,
     )
+
+
+def _copy_shuffle_predictions(model, X, shuffles):
+    """permuted_predictions for any model: for each (column, perms), predict
+    a copy of X with the column shuffled by each perm in turn, on one reused
+    work array."""
+    work = X.copy()
+    for j, perms in shuffles:
+        predictions = []
+        for perm in perms:
+            work[:, j] = X[perm, j]
+            predictions.append(model.predict(work))
+        work[:, j] = X[:, j]
+        yield j, predictions
 
 
 def select_rated_band(

@@ -54,6 +54,12 @@ def _build(builder, train: Dataset, seed: int, where: str) -> Model:
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _member_predict(member, features) -> np.ndarray:
+    """A member's prediction of a query its ensemble has already checked: a
+    Model's _predict skips a second check, any other member gets predict."""
+    return member._predict(features) if isinstance(member, Model) else member.predict(features)
+
+
 def _used_by(models) -> np.ndarray:
     """The sorted union of the columns that models read."""
     used = [m.used_features() for m in models]
@@ -117,7 +123,7 @@ class AdaBoostR2(_BuilderEnsemble):
             idx = _child_rng(self.seed, r, 0).choice(n, size=n, replace=True, p=w)
             member = _build(self.base_builder, train.subset(idx), _child_seed(self.seed, r, 1),
                             f"base estimator failed in boosting round {r}")
-            pred = member.predict(train.features)
+            pred = _member_predict(member, train.features)
             err = np.linalg.norm(pred - train.labels, axis=1)
             err_max = err.max()
             if err_max == 0.0:
@@ -143,7 +149,7 @@ class AdaBoostR2(_BuilderEnsemble):
         self.member_weights_ = np.array(self.member_weights_)
 
     def _predict(self, features):
-        preds = np.stack([m.predict(features) for m in self.members_])
+        preds = np.stack([_member_predict(m, features) for m in self.members_])
         return weighted_median(preds, self.member_weights_)
 
 
@@ -284,7 +290,7 @@ class BaggingEnsemble(_BuilderEnsemble):
             self.members_.append(member)
 
     def _predict(self, features):
-        preds = np.stack([m.predict(features) for m in self.members_])
+        preds = np.stack([_member_predict(m, features) for m in self.members_])
         return preds.mean(axis=0)
 
 
@@ -358,8 +364,8 @@ class StackingEnsemble(_BuilderEnsemble):
                              "final estimator failed on meta-features")
 
     def _predict(self, features):
-        meta = np.hstack([m.predict(features) for m in self.full_bases_])
-        return self.final_.predict(meta)
+        meta = np.hstack([_member_predict(m, features) for m in self.full_bases_])
+        return _member_predict(self.final_, meta)
 
     def _used_features(self):
         # the final estimator reads only the bases' predictions
@@ -501,8 +507,8 @@ def build_stacking_plan(train: Dataset, base_builders, n_folds: int = 5, seed: i
         for b_idx, builder in enumerate(base_builders):
             where = f"base estimator {b_idx} failed on fold {f_idx} (fold-train size {keep.size})"
             member = _build(builder, sub, _child_seed(seed, f_idx, b_idx), where)
-            meta[hold, b_idx * n_out : (b_idx + 1) * n_out] = member.predict(
-                train.features[hold]
+            meta[hold, b_idx * n_out : (b_idx + 1) * n_out] = _member_predict(
+                member, train.features[hold]
             )
 
     full_bases = [

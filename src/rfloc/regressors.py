@@ -28,8 +28,10 @@ class Model:
 
     A fit converts and checks its inputs with _fit_inputs and ends with
     _mark_fitted; a model is fitted once n_features is set. predict accepts
-    only non-empty 2-D queries of the fitted width. used_features names the
-    columns its predictions read: all of them, unless a subclass can tell.
+    only non-empty, finite 2-D queries of the fitted width (_query) and hands
+    them to _predict; an ensemble hands its members the checked query through
+    their _predict. used_features names the columns its predictions read: all
+    of them, unless a subclass can tell.
     """
 
     kind = "model"
@@ -64,13 +66,8 @@ class Model:
             raise ValueError(f"{name}: {X.shape[0]} feature rows vs {Y.shape[0]} label rows")
         if X.shape[0] == 0:
             raise ValueError(f"cannot fit {name} on an empty training set")
-        for what, A in (("features", X), ("labels", Y)):
-            finite = np.isfinite(A)
-            if not finite.all():
-                r, c = np.argwhere(~finite)[0]
-                raise ValueError(
-                    f"{name}: non-finite {what} value {A[r, c]} at row {r}, column {c}"
-                )
+        _check_finite(name, "features", X)
+        _check_finite(name, "labels", Y)
         return X, Y
 
     def _mark_fitted(self, n_features: int, n_outputs: int):
@@ -83,6 +80,12 @@ class Model:
             raise NotFittedError(f"{type(self).__name__} is not fitted")
 
     def predict(self, features) -> np.ndarray:
+        return self._predict(self._query(features))
+
+    def _query(self, features) -> np.ndarray:
+        """The query as float64; raises ValueError on one that is not 2-D,
+        empty, of another width than the fit, or non-finite (naming the value,
+        its row and its column)."""
         self._check_fitted()
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
@@ -94,7 +97,8 @@ class Model:
                 f"{type(self).__name__} was fit on {self.n_features} features, "
                 f"got a query with {features.shape[1]}"
             )
-        return self._predict(features)
+        _check_finite(type(self).__name__, "query", features)
+        return features
 
     def _predict(self, features) -> np.ndarray:
         raise NotImplementedError
@@ -107,6 +111,15 @@ class Model:
 
     def _used_features(self) -> np.ndarray:
         return np.arange(self.n_features)
+
+
+def _check_finite(name: str, what: str, A: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite value of the 2-D A, its
+    row and its column."""
+    finite = np.isfinite(A)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"{name}: non-finite {what} value {A[r, c]} at row {r}, column {c}")
 
 
 def fit_on_dataset(model: Model, train: Dataset) -> Model:
@@ -490,17 +503,61 @@ class CartRegressor(Model):
         return best
 
     def _predict(self, features):
-        # Move every query row down one level per pass until all sit in leaves.
-        node = np.zeros(features.shape[0], dtype=np.intp)
-        active = np.arange(features.shape[0])
+        return self._value[self._leaves(features)]
+
+    def _leaves(self, X, rows=None, column=-1, column_rows=None, tested=None):
+        """The leaf each of X[rows] (each row of X by default) reaches. Every
+        query moves down one level per pass, left when its value <= the node's
+        threshold; at a node that tests column, query k reads
+        X[column_rows[k], column] instead. tested, when given, is a list that
+        gets feature * len(X) + row for every node a query passes on its way."""
+        node = np.zeros(len(X) if rows is None else rows.size, dtype=np.intp)
+        active = np.arange(node.size)
         while active.size:
             cur = node[active]
             f = self._feature[cur]
             inner = f >= 0
             active, cur, f = active[inner], cur[inner], f[inner]
-            go_left = features[active, f] <= self._threshold[cur]
+            r = active if rows is None else rows[active]
+            if column_rows is not None:
+                r = np.where(f == column, column_rows[active], r)
+            if tested is not None:
+                tested.append(f * X.shape[0] + r)
+            go_left = X[r, f] <= self._threshold[cur]
             node[active] = np.where(go_left, self._left[cur], self._right[cur])
-        return self._value[node]
+        return node
+
+    def permuted_predictions(self, features, shuffles):
+        """For each (column, perms) of shuffles, yield (column, P), an array of
+        shape (len(perms), n, outputs) whose P[r] is predict of a copy of
+        features with that column replaced by features[perms[r], column].
+
+        A prediction reads only the features tested on the row's path, so
+        the rows whose path never tests the column keep their prediction. The
+        query is routed once to find, for each column, the rows whose path
+        tests it, and only those rows go down the tree again, all repeats
+        together. Permutation importance (Breiman, 2001) scores a tree with
+        it.
+        """
+        X = self._query(features)
+        n, m = X.shape
+        tested = []
+        base = self._value[self._leaves(X, tested=tested)]
+        # sorted feature * n + row of every (feature, row) on a query's path
+        tested = np.unique(np.concatenate(tested))
+        starts = np.searchsorted(tested, np.arange(m + 1) * n)
+        for j, perms in shuffles:
+            _check_count("column", j, 0, m - 1)
+            perms = np.asarray(perms)
+            if perms.ndim != 2 or perms.shape[1] != n:
+                raise ValueError(f"perms of column {j} must have shape (repeats, {n}), "
+                                 f"got {perms.shape}")
+            rows = tested[starts[j] : starts[j + 1]] - j * n
+            P = np.repeat(base[None], len(perms), axis=0)
+            if rows.size:
+                leaves = self._leaves(X, np.tile(rows, len(perms)), j, perms[:, rows].ravel())
+                P[:, rows] = self._value[leaves].reshape(len(perms), rows.size, -1)
+            yield j, P
 
     def _used_features(self):
         return np.unique(self._feature[self._feature >= 0])

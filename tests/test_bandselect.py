@@ -165,10 +165,12 @@ class TestUsedColumnsOnly:
 
     @pytest.mark.parametrize("mid", RANKED_IDS)
     def test_one_predict_per_used_column_and_repeat(self, mid, ranked_models, fullband_split, monkeypatch):
+        # a single tree predicts the baseline only: its shuffled predictions
+        # come from permuted_predictions
         model = ranked_models[mid]
         calls = _counting_predict(monkeypatch, model)
         permutation_importance(model, fullband_split.test, n_repeats=3, seed=4)
-        assert len(calls) == 1 + 3 * len(model.used_features())
+        assert len(calls) == (1 if mid == "dtr" else 1 + 3 * len(model.used_features()))
 
     @pytest.mark.parametrize("mid", RANKED_IDS)
     def test_columns_outside_used_features_do_not_move_predict(self, mid, ranked_models, fullband_split):
@@ -203,6 +205,118 @@ class TestUsedColumnsOnly:
         rep = permutation_importance(stump, ds, n_repeats=4, seed=0)
         assert len(calls) == 1
         assert rep.scores_m == (0.0, 0.0, 0.0)
+
+
+def _integer_split(seed=0, n=90, m=4, levels=4):
+    """Tie-heavy integer columns: every feature takes one of a few values."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, m)).astype(np.float64)
+    Y = np.column_stack([X[:, 0] + X[:, 1], X[:, 2] * X[:, 0], rng.normal(size=n)])
+    return train_test_split(validate_dataset(X, Y, tuple(float(i + 1) for i in range(m))), 0.6, seed=seed)
+
+
+def _two_depth_split(seed=0, n=120):
+    """Labels step three times along column 0, so a tree tests it at two
+    depths on one path; column 1 is noise."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 4.0, size=(n, 2))
+    step = np.floor(X[:, 0])
+    Y = np.column_stack([step, 2.0 * step, 0.01 * rng.normal(size=n)])
+    return train_test_split(validate_dataset(X, Y, (1.0, 2.0)), 0.6, seed=seed)
+
+
+def _paths_testing_twice(tree, column):
+    """How many root-to-leaf paths test column at two or more nodes."""
+    count, stack = 0, [(0, 0)]
+    while stack:
+        node, seen = stack.pop()
+        f = tree._feature[node]
+        if f < 0:
+            count += seen >= 2
+            continue
+        seen += f == column
+        stack += [(tree._left[node], seen), (tree._right[node], seen)]
+    return count
+
+
+def _walk(tree, x):
+    """The tree's prediction for one query, one node at a time."""
+    node = 0
+    while tree._feature[node] >= 0:
+        go_left = x[tree._feature[node]] <= tree._threshold[node]
+        node = tree._left[node] if go_left else tree._right[node]
+    return tree._value[node]
+
+
+ROUTED_CASES = {
+    "max-depth": (lambda: CartRegressor(max_depth=4), "fullband", 3),
+    "min-samples-leaf": (lambda: CartRegressor(min_samples_leaf=3), "fullband", 3),
+    "stump": (lambda: CartRegressor(max_depth=1), "fullband", 3),
+    "one-repeat": (CartRegressor, "fullband", 1),
+    "integer-ties": (CartRegressor, "integer", 4),
+    "two-depths": (CartRegressor, "two-depth", 3),
+}
+
+
+class TestRoutedTreeImportance:
+    """A single tree re-routes only the rows whose path tests the shuffled
+    column; its scores and baseline equal the predict-every-column reference."""
+
+    @pytest.fixture(scope="class")
+    def splits(self, fullband_split):
+        return {"fullband": fullband_split, "integer": _integer_split(), "two-depth": _two_depth_split()}
+
+    @pytest.mark.parametrize("case", sorted(ROUTED_CASES))
+    def test_scores_equal_the_all_columns_reference(self, case, splits, monkeypatch):
+        make, data, n_repeats = ROUTED_CASES[case]
+        split = splits[data]
+        tree = fit_on_dataset(make(), split.train)
+        if case == "two-depths":
+            assert _paths_testing_twice(tree, 0) > 0
+        scores, baseline = _all_columns_importance(tree, split.test, n_repeats, 5)
+        calls = _counting_predict(monkeypatch, tree)
+        rep = permutation_importance(tree, split.test, n_repeats=n_repeats, seed=5)
+        assert rep.scores_m == scores
+        assert rep.baseline_rmse_m == baseline
+        assert len(calls) == 1
+        assert any(s != 0.0 for s in scores)
+
+    @pytest.mark.parametrize("data", ["integer", "two-depth"])
+    def test_predictions_match_a_walk_of_each_shuffled_copy(self, data, splits):
+        split = splits[data]
+        tree = fit_on_dataset(CartRegressor(), split.train)
+        X = split.test.features.copy()
+        # half of the queries sit exactly on a threshold of the column they
+        # are tested on, where "<=" sends them left
+        for i in range(0, len(X), 2):
+            node = i % tree.node_count
+            if tree._feature[node] >= 0:
+                X[i, tree._feature[node]] = tree._threshold[node]
+        rng = np.random.default_rng(1)
+        perms = {j: [rng.permutation(len(X)) for _ in range(3)] for j in range(X.shape[1])}
+        got = dict(tree.permuted_predictions(X, perms.items()))
+        assert sorted(got) == list(perms)
+        for j, P in got.items():
+            assert P.shape == (3, len(X), 3)
+            for r, perm in enumerate(perms[j]):
+                work = X.copy()
+                work[:, j] = X[perm, j]
+                assert np.array_equal(P[r], np.array([_walk(tree, x) for x in work])), (j, r)
+                assert np.array_equal(P[r], tree.predict(work)), (j, r)
+
+    def test_rejects_a_bad_column_perm_or_query(self, splits):
+        split = splits["integer"]
+        tree = fit_on_dataset(CartRegressor(), split.train)
+        X = split.test.features
+        n = len(X)
+        with pytest.raises(ValueError, match=r"column must be in \[0, 3\], got 4"):
+            list(tree.permuted_predictions(X, [(4, [np.arange(n)])]))
+        with pytest.raises(ValueError, match=re.escape(f"perms of column 1 must have shape (repeats, {n})")):
+            list(tree.permuted_predictions(X, [(1, [np.arange(n - 1)])]))
+        Q = X.copy()
+        Q[2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite query value nan at row 2, column 3"):
+            list(tree.permuted_predictions(Q, []))
 
 
 class TestSelectRatedBand:

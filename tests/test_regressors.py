@@ -112,6 +112,14 @@ class TestModelContract:
         with pytest.raises(ValueError, match="fit on 3 features, got a query with 2"):
             fitted.predict(np.zeros((2, 2)))
         assert (fitted.n_features, fitted.n_outputs) == (3, 3)
+        # a non-finite query is refused once, at the model the caller asked
+        cls = type(fitted).__name__
+        for value, r, c in ((np.nan, 1, 2), (np.inf, 0, 0), (-np.inf, 2, 1)):
+            Q = ds.features[:3].copy()
+            Q[r, c] = value
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{cls}: non-finite query value {value} at row {r}, column {c}")):
+                fitted.predict(Q)
 
     def test_one_dimensional_labels_become_one_column(self):
         X = np.arange(6.0)[:, None]
@@ -655,7 +663,9 @@ class TestPresortedCart:
         finally:
             tracemalloc.stop()
         order_bytes = n * m * 2
-        scan_bytes = 24 * 8 * (1 << 14)  # the split scan's 2**14-element float64 temporaries
+        # room for the split scan's float64 temporaries: twelve of _BLOCK = 2**15
+        # elements (the root's [Y | Y*Y] gather alone is 6 * 2**15)
+        scan_bytes = 24 * 8 * (1 << 14)
         assert peak < order_bytes + scan_bytes, f"peak {peak / 1e6:.2f} MB"
 
 

@@ -5,8 +5,9 @@ Covered: fit_model predictions for every id of the registry grammar and for
 tuned EnsembleSpecs, svr and mlp predictions on a 40-bin band, band-select
 importance scores and dddas_cycle results, the split structure of two
 benchmark trees (the band-select 400-bin dtr and every tree of the room-stack
-stacking final), and the files and console output of each CLI command. Fit times are dropped
-before hashing, and temporary paths are replaced by a placeholder.
+stacking final), the band-select workload's seed-1 importance run, and the
+files and console output of each CLI command. Fit times are dropped before
+hashing, and temporary paths are replaced by a placeholder.
 
     python tools/output_digests.py > digests.txt
 
@@ -115,15 +116,20 @@ def _seed_split(scenario_maker, seed: int, *args):
 
 def structure_digests() -> None:
     """The split structure of two benchmark trees: a threshold that moves
-    between two test rows changes these lines but no prediction."""
+    between two test rows changes these lines but no prediction. The
+    band-select tree's importance scores and baseline follow its lines."""
     def emit_trees(label, trees):
         for name in TREE_ARRAYS:
             _emit(f"{label} {name}", b"".join(
                 np.ascontiguousarray(getattr(tree, name)).tobytes() for tree in trees))
 
     split = _seed_split(simulate.make_fullband_scenario, 1, 400)
-    emit_trees("band-select dtr, 400 bins, seed 1,",
-               [registry.fit_model("dtr", split.train, seed=1)])
+    tree = registry.fit_model("dtr", split.train, seed=1)
+    emit_trees("band-select dtr, 400 bins, seed 1,", [tree])
+    # the band-select workload's own importance run
+    report = bandselect.permutation_importance(tree, split.test, n_repeats=5, seed=1)
+    _emit("band-select dtr, 400 bins, seed 1, importance scores", np.array(report.scores_m))
+    _emit("band-select dtr, 400 bins, seed 1, importance baseline", repr(report.baseline_rmse_m))
     split = _seed_split(simulate.make_reference_scenario, 1)
     stack = registry.fit_model(EnsembleSpec("stacking", base=("knr", "dtr"), final="gbr"),
                                split.train, seed=1)
