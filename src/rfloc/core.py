@@ -42,6 +42,15 @@ def _check_real(name: str, value, ok=lambda v: True, expected: str = "a finite n
         raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
+def _check_finite(name: str, what: str, A: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite value of the 2-D A, its
+    row and its column."""
+    finite = np.isfinite(A)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"{name}: non-finite {what} value {A[r, c]} at row {r}, column {c}")
+
+
 def _check_band(name: str, band) -> tuple[float, ...]:
     """band as a tuple of floats; raises ValueError naming the index and the
     value unless every frequency is finite, > 0 and above the one before it."""

@@ -281,10 +281,8 @@ class BaggingEnsemble(_BuilderEnsemble):
     def _fit_members(self, train: Dataset):
         n = train.n
         self.members_ = []
-        self.member_indices_ = []
         for r in range(self.n_estimators):
             idx = _child_rng(self.seed, r, 0).integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            self.member_indices_.append(idx)
             member = _build(self.base_builder, train.subset(idx), _child_seed(self.seed, r, 1),
                             f"base estimator failed for bagging member {r}")
             self.members_.append(member)

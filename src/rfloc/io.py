@@ -16,7 +16,7 @@ import typing
 
 import numpy as np
 
-from .core import Dataset, SensorConfig, Position, _check_band, _owned_dataset
+from .core import Dataset, SensorConfig, Position, _check_band, _check_real, _owned_dataset
 from .simulate import Scenario
 
 
@@ -291,11 +291,12 @@ def rtlpower_rows_to_dataset(
     For each scan row and each band frequency, the nearest scanned frequency
     within step/2 supplies the power reading; a band frequency with no
     reading in range is an error. Every scan row becomes one sample labeled
-    with `position`.
+    with `position`. step_mhz must be a finite number > 0.
     """
     band = tuple(float(f) for f in band_mhz)
     if not band:
         raise ValueError("band must be non-empty")
+    _check_real("step_mhz", step_mhz, lambda v: v > 0, "> 0")
     half = step_mhz / 2.0
     features = np.empty((len(rows), len(band)))
     for i, (freqs, dbs) in enumerate(rows):

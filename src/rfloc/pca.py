@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_count, _check_finite
+
 
 @dataclass(frozen=True)
 class PcaModel:
@@ -34,7 +36,9 @@ def pca_fit(features, n_components: int) -> PcaModel:
 
     Columns are centered by their means; components are eigenvectors of the
     sample covariance (divisor n - 1) sorted by descending eigenvalue. Each
-    component is flipped so its largest-magnitude entry is positive.
+    component is flipped so its largest-magnitude entry is positive. A bad
+    n_components, or a non-finite feature here or at pca_transform, raises
+    ValueError naming it (with its row and column).
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -42,9 +46,8 @@ def pca_fit(features, n_components: int) -> PcaModel:
     n, m = X.shape
     if n < 2:
         raise ValueError(f"pca needs at least 2 rows, got {n}")
-    limit = min(n - 1, m)
-    if not 1 <= n_components <= limit:
-        raise ValueError(f"n_components must be in [1, {limit}], got {n_components}")
+    _check_count("n_components", n_components, 1, min(n - 1, m))
+    _check_finite("pca_fit", "features", X)
 
     mean = X.mean(axis=0)
     centered = X - mean
@@ -77,4 +80,5 @@ def pca_transform(model: PcaModel, features) -> np.ndarray:
         raise ValueError(
             f"feature width {X.shape[1]} does not match the fitted width {model.mean.size}"
         )
+    _check_finite("pca_transform", "features", X)
     return (X - model.mean) @ model.components.T

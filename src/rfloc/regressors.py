@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
-from .core import Dataset, _check_count, _check_real
+from .core import Dataset, _check_count, _check_finite, _check_real
 
 
 class NotFittedError(RuntimeError):
@@ -113,15 +113,6 @@ class Model:
         return np.arange(self.n_features)
 
 
-def _check_finite(name: str, what: str, A: np.ndarray) -> None:
-    """Raise ValueError naming the first non-finite value of the 2-D A, its
-    row and its column."""
-    finite = np.isfinite(A)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise ValueError(f"{name}: non-finite {what} value {A[r, c]} at row {r}, column {c}")
-
-
 def fit_on_dataset(model: Model, train: Dataset) -> Model:
     """Fit a model on a Dataset, recording wall-clock fit time and the band."""
     t0 = time.perf_counter()
@@ -199,12 +190,10 @@ class KnnRegressor(Model):
 
 @dataclass(frozen=True)
 class SplitRecord:
-    """One internal split as grown: which features were candidates and what won."""
+    """One internal split of a fitted tree: a row goes left when its feature is <= threshold."""
 
     feature: int
     threshold: float
-    candidate_features: tuple[int, ...]
-    value_range: tuple[float, float]  # (min, max) of the chosen feature at the node
 
 
 # Elements per block of the tree kernel's sort, scan and partition steps: a
@@ -317,7 +306,6 @@ class CartRegressor(Model):
         self.max_features = max_features
         self.random_thresholds = random_thresholds
         self.seed = seed
-        self.split_log: list[SplitRecord] = []
 
     def fit(self, features, labels, *, order=None):
         """Grow the tree. order, when given, is column_order(features) and is
@@ -334,12 +322,7 @@ class CartRegressor(Model):
             raise ValueError(f"order has shape {order.shape}, expected {(m, n)}")
         else:
             order = order.copy()  # partitioned in place below
-        self.split_log = []
-        self._feature = []
-        self._threshold = []
-        self._left = []
-        self._right = []
-        self._value = []
+        feature, threshold, left, right, value = [], [], [], [], []
         train_leaf = np.empty(n, dtype=np.intp)
         goes_left = np.zeros(n, dtype=bool)
         rng = np.random.default_rng(self.seed)
@@ -352,15 +335,16 @@ class CartRegressor(Model):
         stack = [(np.arange(n), 0, 0, -1, 0)]
         while stack:
             rows, lo, depth, parent, side = stack.pop()
-            node = self._new_node()
+            node = len(feature)
+            Yn = Y[rows]
+            feature.append(-1)
+            threshold.append(np.nan)
+            left.append(-1)
+            right.append(-1)
+            value.append(Yn.mean(axis=0))
             train_leaf[rows] = node  # a split's children overwrite it
             if parent >= 0:
-                if side == 0:
-                    self._left[parent] = node
-                else:
-                    self._right[parent] = node
-            Yn = Y[rows]
-            self._value[node] = Yn.mean(axis=0)
+                (left if side == 0 else right)[parent] = node
             if self.max_depth is not None and depth >= self.max_depth:
                 continue
             if rows.size < 2 * self.min_samples_leaf or rows.size < 2:
@@ -369,21 +353,26 @@ class CartRegressor(Model):
                 feats = np.sort(rng.choice(m, size=self.max_features, replace=False))
             else:
                 feats = np.arange(m)
+            # a node with no squared error left stays a leaf; the check follows
+            # its draw of feats, or every seeded max_features tree would change
+            tot1 = Yn.sum(axis=0)
+            tot2 = (Yn * Yn).sum(axis=0)
+            sse_node = float((tot2 - tot1 * tot1 / rows.size).sum())
+            if sse_node <= 0.0:
+                continue
             if self.random_thresholds:
-                split = self._best_random_split(X, Yn, rows, feats, rng)
+                split = self._best_random_split(X, Yn, rows, feats, rng, tot1, tot2, sse_node)
             else:
-                split = self._best_midpoint_split(X, YY, Yn, order[:, lo : lo + rows.size], feats)
+                split = self._best_midpoint_split(X, YY, order[:, lo : lo + rows.size], feats,
+                                                  tot1, tot2, sse_node)
             if split is None:
                 continue
-            f, thr, vlo, vhi = split
+            f, thr = split
             mask = X[rows, f] <= thr
             if mask.all() or not mask.any():
                 continue  # degenerate split; keep the node as a leaf
-            self.split_log.append(
-                SplitRecord(int(f), float(thr), tuple(feats.tolist()), (vlo, vhi))
-            )
-            self._feature[node] = int(f)
-            self._threshold[node] = float(thr)
+            feature[node] = f
+            threshold[node] = thr
             n_left = int(np.count_nonzero(mask))
             # only a child that can split reads its segment of the order
             deeper = self.max_depth is None or depth + 1 < self.max_depth
@@ -393,33 +382,20 @@ class CartRegressor(Model):
                 _partition(order[:, lo : lo + rows.size], goes_left, n_left)
             stack.append((rows[~mask], lo + n_left, depth + 1, node, 1))
             stack.append((rows[mask], lo, depth + 1, node, 0))
-        self._feature = np.array(self._feature, dtype=np.intp)
-        self._threshold = np.array(self._threshold)
-        self._left = np.array(self._left, dtype=np.intp)
-        self._right = np.array(self._right, dtype=np.intp)
-        self._value = np.array(self._value)
+        self._feature = np.array(feature, dtype=np.intp)
+        self._threshold = np.array(threshold)
+        self._left = np.array(left, dtype=np.intp)
+        self._right = np.array(right, dtype=np.intp)
+        self._value = np.array(value)
         self.train_leaf = train_leaf.astype(np.min_scalar_type(self.node_count - 1))
         return self._mark_fitted(m, Y.shape[1])
 
-    def _new_node(self):
-        self._feature.append(-1)
-        self._threshold.append(np.nan)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._value.append(None)
-        return len(self._feature) - 1
-
-    def _best_midpoint_split(self, X, YY, Yn, seg, feats):
-        """The best (feature, threshold, min, max) over feats, or None; seg is
-        the node's part of the column order (its rows, sorted per feature)
-        and YY the fit's (2 * outputs, n) table of the labels and their
-        squares."""
-        k, d = Yn.shape
-        tot1 = Yn.sum(axis=0)
-        tot2 = (Yn * Yn).sum(axis=0)
-        sse_node = float((tot2 - tot1 * tot1 / k).sum())
-        if sse_node <= 0.0:
-            return None
+    def _best_midpoint_split(self, X, YY, seg, feats, tot1, tot2, sse_node):
+        """The best (feature, threshold) over feats, or None; seg is the
+        node's part of the column order (its rows, sorted per feature), YY
+        the fit's (2 * outputs, n) table of the labels and their squares, and
+        tot1, tot2 and sse_node the node's sums of both and squared error."""
+        k, d = seg.shape[1], tot1.size
         # The prefix of j+1 sorted rows is a candidate left side when the
         # value changes after it; lo:hi are the j that leave both sides
         # min_samples_leaf rows (the caller ensures k >= 2 * min_samples_leaf).
@@ -463,17 +439,14 @@ class CartRegressor(Model):
                     # value; fall back to the lower one so "<= thr" still
                     # separates the two groups
                     thr = vs[c, j]
-                best = (int(fb[c]), float(thr), float(vs[c, 0]), float(vs[c, -1]))
+                best = (int(fb[c]), float(thr))
             del S, gain  # freed before the next block is gathered
         return best
 
-    def _best_random_split(self, X, Yn, rows, feats, rng):
+    def _best_random_split(self, X, Yn, rows, feats, rng, tot1, tot2, sse_node):
+        """The best (feature, threshold) over feats, each feature with one
+        uniform threshold strictly inside its range at the node, or None."""
         k = rows.size
-        tot1 = Yn.sum(axis=0)
-        tot2 = (Yn * Yn).sum(axis=0)
-        sse_node = float((tot2 - tot1 * tot1 / k).sum())
-        if sse_node <= 0.0:
-            return None
         best = None
         best_gain = 0.0
         for f in feats:
@@ -499,7 +472,7 @@ class CartRegressor(Model):
             gain = sse_node - sse_l - sse_r
             if gain > best_gain:
                 best_gain = gain
-                best = (int(f), thr, lo, hi)
+                best = (int(f), thr)
         return best
 
     def _predict(self, features):
@@ -565,6 +538,15 @@ class CartRegressor(Model):
     @property
     def node_count(self) -> int:
         return len(self._feature)
+
+    @property
+    def split_log(self) -> list[SplitRecord]:
+        """The internal splits in node order, read off the node arrays. Nodes
+        are numbered in preorder, the order fit grows them."""
+        self._check_fitted()
+        inner = self._feature >= 0
+        return [SplitRecord(f, t) for f, t in zip(self._feature[inner].tolist(),
+                                                  self._threshold[inner].tolist())]
 
 
 def _partition(seg, goes_left, n_left):

@@ -1,12 +1,14 @@
 """Ensemble strategies: hand-worked rounds, equivalences, plan reuse."""
 
+import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rfloc.core import _child_seed, validate_dataset
+from rfloc.core import _child_rng, _child_seed, validate_dataset
 from rfloc.ensemble import (
     AdaBoostR2,
     BaggingEnsemble,
@@ -24,6 +26,7 @@ from rfloc.ensemble import (
 from rfloc.regressors import CartRegressor, cart_fit, fit_on_dataset, knn_fit
 
 from conftest import toy_dataset
+from test_regressors import _grown_splits
 
 
 def _dataset(X, Y):
@@ -228,6 +231,22 @@ class TestQuantileBinEdges:
         assert np.all(np.diff(edges) > 0)
 
 
+def _recording_knn(subs):
+    """A 1-nn member builder that appends each member's training Dataset to subs."""
+
+    def build(sub, seed):
+        subs.append(sub)
+        return knn_fit(sub, k=1)
+
+    return build
+
+
+def _member_rows(forest, n, r):
+    """The training rows of a fitted forest's member r: its seeded bootstrap
+    draw, or every row once."""
+    return _child_rng(forest.seed, r, 0).integers(0, n, size=n) if forest.bootstrap else np.arange(n)
+
+
 class TestBagging:
     def test_mean_of_constant_members(self):
         ds = toy_dataset(n=10, m=2, seed=0)
@@ -242,19 +261,24 @@ class TestBagging:
 
     def test_bootstrap_indices_resample_with_replacement(self):
         ds = toy_dataset(n=50, m=2, seed=1)
-        m = fit_on_dataset(BaggingEnsemble(lambda sub, seed: knn_fit(sub, k=1), n_estimators=5), ds)
-        assert len(m.member_indices_) == 5
-        for idx in m.member_indices_:
-            assert idx.shape == (50,)
+        subs = []
+        m = fit_on_dataset(BaggingEnsemble(_recording_knn(subs), n_estimators=5), ds)
+        assert len(subs) == len(m.members_) == 5
+        for r, sub in enumerate(subs):
+            idx = _child_rng(0, r, 0).integers(0, 50, size=50)
+            assert np.array_equal(sub.features, ds.features[idx])
+            assert np.array_equal(sub.labels, ds.labels[idx])
             assert len(np.unique(idx)) < 50  # replacement virtually guarantees repeats
-        assert not np.array_equal(m.member_indices_[0], m.member_indices_[1])
+        assert not np.array_equal(subs[0].features, subs[1].features)
 
     def test_no_bootstrap_uses_every_row_once(self):
         ds = toy_dataset(n=20, m=2, seed=2)
-        member = lambda sub, seed: knn_fit(sub, k=1)
-        m = fit_on_dataset(BaggingEnsemble(member, n_estimators=2, bootstrap=False), ds)
-        for idx in m.member_indices_:
-            assert np.array_equal(idx, np.arange(20))
+        subs = []
+        m = fit_on_dataset(BaggingEnsemble(_recording_knn(subs), n_estimators=2, bootstrap=False), ds)
+        assert len(subs) == 2
+        for sub in subs:
+            assert np.array_equal(sub.features, ds.features)
+            assert np.array_equal(sub.labels, ds.labels)
         single = knn_fit(ds, k=1)
         assert np.allclose(m.predict(ds.features[:5]), single.predict(ds.features[:5]))
 
@@ -291,17 +315,26 @@ class TestForests:
         member_mean = np.mean([t.predict(ds.features[:6]) for t in m.members_], axis=0)
         assert np.allclose(m.predict(ds.features[:6]), member_mean)
 
+    @staticmethod
+    def _member_splits(forest, ds):
+        """Every member's splits as the reference tree on its rows grew them."""
+        logs = []
+        for r, tree in enumerate(forest.members_):
+            idx = _member_rows(forest, ds.n, r)
+            logs += _grown_splits(tree, ds.features[idx], ds.labels[idx])
+        return logs
+
     def test_max_features_drawn_at_every_split(self):
         ds = toy_dataset(n=60, m=5, seed=5)
         m = fit_on_dataset(RandomForest(n_estimators=4, max_features=2, seed=0), ds)
-        logs = [rec for t in m.members_ for rec in t.split_log]
+        logs = self._member_splits(m, ds)
         assert logs
         assert all(len(rec.candidate_features) == 2 for rec in logs)
 
     def test_extra_trees_thresholds_inside_node_range(self):
         ds = toy_dataset(n=60, m=4, seed=6)
         m = fit_on_dataset(ExtraTrees(n_estimators=4, seed=0), ds)
-        logs = [rec for t in m.members_ for rec in t.split_log]
+        logs = self._member_splits(m, ds)
         assert logs
         for rec in logs:
             lo, hi = rec.value_range
@@ -333,11 +366,28 @@ class TestForests:
         ):
             assert isinstance(forest, BaggingEnsemble)
             assert all(type(t) is CartRegressor for t in forest.members_)
-            for r, (tree, idx) in enumerate(zip(forest.members_, forest.member_indices_)):
+            for r, tree in enumerate(forest.members_):
+                idx = _member_rows(forest, ds.n, r)
                 alone = CartRegressor(
                     max_features=2, random_thresholds=random_thresholds, seed=_child_seed(5, r, 1)
                 ).fit(ds.features[idx], ds.labels[idx])
                 assert np.array_equal(tree.predict(ds.features), alone.predict(ds.features))
+
+    def test_fitted_forest_holds_only_its_node_arrays(self, rng):
+        # a fitted tree is its node arrays and a forest keeps no per-member
+        # row indices; a 400-int candidate tuple per split would hold 4.7 MB
+        X = rng.normal(size=(300, 400))
+        Y = rng.normal(size=(300, 3))
+        tracemalloc.start()
+        try:
+            forest = RandomForest(n_estimators=3, seed=0).fit(X, Y)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = sum(a.nbytes for t in forest.members_
+                     for a in (t._feature, t._threshold, t._left, t._right, t._value, t.train_leaf))
+        assert held < arrays + (32 << 10), f"held {held} bytes, node arrays {arrays}"
 
     def test_member_errors_name_the_member(self):
         with pytest.raises(ValueError, match=r"bagging member 0: max_features must be in \[1, 2\]"):

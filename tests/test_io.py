@@ -359,3 +359,11 @@ class TestRtlPowerToDataset:
     def test_empty_band_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             rtlpower_rows_to_dataset(self._rows(), (), 2.4, Position(0, 0, 0))
+
+    def test_step_must_be_a_finite_positive_number(self):
+        # a NaN or infinite step would accept a reading at any distance
+        for bad in (float("nan"), float("inf"), True, -1.0, 0.0, "0.4"):
+            with pytest.raises(ValueError, match=re.escape(f"step_mhz must be > 0, got {bad!r}")):
+                rtlpower_rows_to_dataset(self._rows(), (91.2,), bad, Position(0, 0, 0))
+        ds = rtlpower_rows_to_dataset(self._rows(), (91.2,), np.float64(0.4), Position(0, 0, 0))
+        assert ds.features[:, 0].tolist() == [-41.0, -44.0]

@@ -1,5 +1,7 @@
 """Principal component projection: orthonormality, variance bookkeeping."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,25 @@ class TestPcaFit:
         with pytest.raises(ValueError):
             pca_fit(np.ones((5, 3)), 1)  # zero variance
 
+    def test_n_components_must_be_an_integer_in_range(self, rng):
+        X = rng.normal(size=(10, 3))
+        for bad in (True, 2.5, "2", None):
+            with pytest.raises(ValueError, match=re.escape(f"n_components must be an integer, got {bad!r}")):
+                pca_fit(X, bad)
+        for bad in (0, 4, -1):
+            with pytest.raises(ValueError, match=re.escape(f"n_components must be in [1, 3], got {bad}")):
+                pca_fit(X, bad)
+        assert pca_fit(X, np.int64(2)).n_components == 2
+
+    def test_non_finite_features_are_named(self, rng):
+        X = rng.normal(size=(10, 3))
+        for value in (np.nan, np.inf, -np.inf):
+            bad = X.copy()
+            bad[4, 2] = value
+            with pytest.raises(ValueError, match=re.escape(
+                    f"pca_fit: non-finite features value {value} at row 4, column 2")):
+                pca_fit(bad, 2)
+
 
 class TestPcaTransform:
     def test_mean_row_maps_to_origin(self, rng):
@@ -94,6 +115,14 @@ class TestPcaTransform:
             pca_transform(model, np.zeros((3, 5)))
         with pytest.raises(ValueError):
             pca_transform(model, np.zeros(4))
+
+    def test_non_finite_query_is_named(self, rng):
+        model = pca_fit(rng.normal(size=(20, 4)), 2)
+        Q = np.zeros((3, 4))
+        Q[2, 1] = np.nan
+        with pytest.raises(ValueError, match=re.escape(
+                "pca_transform: non-finite features value nan at row 2, column 1")):
+            pca_transform(model, Q)
 
     def test_n_components_property(self, rng):
         model = pca_fit(rng.normal(size=(20, 4)), 3)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import re
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -356,18 +357,18 @@ class TestCart:
     def test_max_features_candidate_count(self, rng):
         X = rng.normal(size=(60, 5))
         Y = rng.normal(size=(60, 3))
-        m = CartRegressor(max_features=2, seed=7).fit(X, Y)
-        assert m.split_log
-        assert all(len(r.candidate_features) == 2 for r in m.split_log)
-        assert any(r.candidate_features != m.split_log[0].candidate_features for r in m.split_log)
+        log = _grown_splits(CartRegressor(max_features=2, seed=7).fit(X, Y), X, Y)
+        assert log
+        assert all(len(r.candidate_features) == 2 for r in log)
+        assert any(r.candidate_features != log[0].candidate_features for r in log)
 
     def test_random_thresholds_stay_inside_value_range(self, rng):
         for seed in range(4):
             X = rng.normal(size=(50, 4))
             Y = rng.normal(size=(50, 3))
-            m = CartRegressor(random_thresholds=True, seed=seed).fit(X, Y)
-            assert m.split_log
-            for r in m.split_log:
+            log = _grown_splits(CartRegressor(random_thresholds=True, seed=seed).fit(X, Y), X, Y)
+            assert log
+            for r in log:
                 lo, hi = r.value_range
                 assert lo < r.threshold < hi
 
@@ -378,6 +379,26 @@ class TestCart:
         assert np.array_equal(m.used_features(), sorted({r.feature for r in m.split_log}))
         assert 2 not in m.used_features()
         assert CartRegressor(max_depth=0).fit(X, X[:, :3]).used_features().size == 0
+
+    def test_split_log_is_the_internal_nodes_in_preorder(self, rng):
+        X = rng.normal(size=(80, 4))
+        m = CartRegressor(min_samples_leaf=4).fit(X, rng.normal(size=(80, 3)))
+        preorder, stack = [], [0]
+        while stack:
+            node = stack.pop()
+            preorder.append(node)
+            if m._feature[node] >= 0:
+                stack += [m._right[node], m._left[node]]
+        assert preorder == list(range(m.node_count))  # nodes are numbered in preorder
+        inner = [node for node in preorder if m._feature[node] >= 0]
+        assert len(inner) > 7  # more splits than a tree of depth 3 holds
+        want = [SplitRecord(int(m._feature[k]), float(m._threshold[k])) for k in inner]
+        assert m.split_log == want
+        assert all(type(r.feature) is int and type(r.threshold) is float for r in m.split_log)
+
+    def test_split_log_needs_a_fit(self):
+        with pytest.raises(NotFittedError, match="CartRegressor is not fitted"):
+            CartRegressor().split_log
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -438,17 +459,28 @@ def _reference_midpoint_split(X, Yn, rows, feats, min_samples_leaf):
             thr = (vs[j, c] + vs[j + 1, c]) / 2.0
             if thr >= vs[j + 1, c]:
                 thr = vs[j, c]
-            best = (int(fb[c]), float(thr), float(vs[0, c]), float(vs[-1, c]))
+            best = (int(fb[c]), float(thr))
     return best
 
 
-def _reference_cart(X, Y, **params):
+class _GrownSplit(typing.NamedTuple):
+    """One split as _reference_cart grew it: what won, which features were
+    candidates, and the (min, max) of the winner over the node's rows."""
+
+    feature: int
+    threshold: float
+    candidate_features: tuple
+    value_range: tuple
+
+
+def _reference_cart(X, Y, log=None, **params):
     """A CartRegressor grown by the per-node-argsort kernel (the reference
-    the presorted kernel must match bit for bit)."""
+    the presorted kernel must match bit for bit). log, when given, is a list
+    that gets a _GrownSplit for every split, in node order."""
     tree = CartRegressor(**params)
     X, Y = tree._fit_inputs(X, Y)
     m = X.shape[1]
-    feature, threshold, left, right, value, log = [], [], [], [], [], []
+    feature, threshold, left, right, value = [], [], [], [], []
     rng = np.random.default_rng(tree.seed)
     stack = [(np.arange(X.shape[0]), 0, -1, 0)]
     while stack:
@@ -471,27 +503,42 @@ def _reference_cart(X, Y, **params):
         else:
             feats = np.arange(m)
         if tree.random_thresholds:
-            split = tree._best_random_split(X, Yn, rows, feats, rng)
+            tot1 = Yn.sum(axis=0)
+            tot2 = (Yn * Yn).sum(axis=0)
+            sse_node = float((tot2 - tot1 * tot1 / rows.size).sum())
+            split = None if sse_node <= 0.0 else tree._best_random_split(
+                X, Yn, rows, feats, rng, tot1, tot2, sse_node)
         else:
             split = _reference_midpoint_split(X, Yn, rows, feats, tree.min_samples_leaf)
         if split is None:
             continue
-        f, thr, lo, hi = split
+        f, thr = split
         mask = X[rows, f] <= thr
         if mask.all() or not mask.any():
             continue
-        log.append(SplitRecord(int(f), float(thr), tuple(int(c) for c in feats), (lo, hi)))
-        feature[node] = int(f)
-        threshold[node] = float(thr)
+        if log is not None:
+            v = X[rows, f]
+            log.append(_GrownSplit(f, thr, tuple(feats.tolist()), (float(v.min()), float(v.max()))))
+        feature[node] = f
+        threshold[node] = thr
         stack.append((rows[~mask], depth + 1, node, 1))
         stack.append((rows[mask], depth + 1, node, 0))
-    tree.split_log = log
     tree._feature = np.array(feature, dtype=np.intp)
     tree._threshold = np.array(threshold)
     tree._left = np.array(left, dtype=np.intp)
     tree._right = np.array(right, dtype=np.intp)
     tree._value = np.array(value)
     return tree._mark_fitted(m, Y.shape[1])
+
+
+def _grown_splits(tree, X, Y):
+    """The _GrownSplit log of the reference tree for tree's parameters,
+    after checking that tree is that reference tree."""
+    log = []
+    params = ("max_depth", "min_samples_leaf", "max_features", "random_thresholds", "seed")
+    _assert_same_tree(tree, _reference_cart(X, Y, log=log, **{k: getattr(tree, k) for k in params}))
+    assert [(g.feature, g.threshold) for g in log] == [(r.feature, r.threshold) for r in tree.split_log]
+    return log
 
 
 def _reference_gbr(X, Y, Q, n_estimators, learning_rate=0.1, max_depth=3):

@@ -3,7 +3,8 @@
 perfbench/tracing.py wraps rfloc functions by module-global name and methods
 by class attribute, from outside the program. A rename, or a fit that stops
 going through a wrapped name, would leave the traced run's spans empty
-without an error; these tests catch it in the tier-1 suite.
+without an error; these tests catch it in the tier-1 suite, together with
+the model attributes its span facts read.
 """
 
 import importlib.util
@@ -32,11 +33,16 @@ WRAPPED_FITS = {
 
 
 @pytest.fixture(scope="module")
-def boundaries():
+def tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = tracing  # its dataclasses look their module up there
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def boundaries(tracing):
     return tracing._boundaries(rfloc)
 
 
@@ -100,3 +106,26 @@ def test_every_boosting_stage_goes_through_cart_fit(monkeypatch):
     ds = toy_dataset(n=30, m=3, seed=0)
     GradientBoosting(n_estimators=4).fit(ds.features, ds.labels)
     assert calls == [True] * 12  # 4 stages x 3 outputs, each given the shared order
+
+
+def test_span_facts_read_a_fitted_tree_as_its_node_arrays(tracing):
+    # perfbench's facts count a tree's nodes and split features through
+    # node_count and split_log, a view of the node arrays
+    from rfloc.bandselect import permutation_importance
+    from rfloc.regressors import CartRegressor, fit_on_dataset
+
+    train, test = toy_dataset(n=60, m=12, seed=0), toy_dataset(n=20, m=12, seed=1)
+    tree = fit_on_dataset(CartRegressor(max_depth=3), train)
+    used = len(tree.used_features())
+    assert 0 < used < train.m
+    facts = {"nodes": tree.node_count, "split_features": used}
+    assert tracing._tree_facts(tree) == facts
+    assert tracing._fit_facts((train,), tree) == {"kind": "dtr", **facts}
+    report = permutation_importance(tree, test, n_repeats=1, seed=0)
+    assert tracing._importance_facts((tree, test), report) == {
+        "columns_read": used, "columns_shuffled": test.m}
+    knn = registry.fit_model("knr", train, seed=0)
+    assert tracing._fit_facts((train,), knn) == {"kind": "knr"}
+    report = permutation_importance(knn, test, n_repeats=1, seed=0)
+    assert tracing._importance_facts((knn, test), report) == {
+        "columns_read": test.m, "columns_shuffled": test.m}
