@@ -66,6 +66,31 @@ def read_dataset_csv(path: str) -> Dataset:
         raise ValueError(f"{path}: empty file")
     freqs = _parse_dataset_header(lines[0], path)
     m = len(freqs)
+    table = None
+    if len(lines) > 1:
+        # numpy's parser gives float()'s bits and accepts no field that float()
+        # refuses; it skips blank lines, so a short table means one was there.
+        # Any rejection goes to the line parser, which names the bad line.
+        try:
+            table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if table is not None and table.shape == (len(lines) - 1, m + 3):
+        features, labels = np.ascontiguousarray(table[:, :m]), np.ascontiguousarray(table[:, m:])
+    else:
+        features, labels = _parse_dataset_rows(lines, m, path)
+    try:
+        return _owned_dataset(features, labels, freqs)
+    except ValueError as exc:
+        # the header passed, so a cell is non-finite; features are checked first
+        bad = [np.flatnonzero(~np.isfinite(a).all(axis=1)) for a in (features, labels)]
+        line = next(rows[0] for rows in bad if rows.size) + 2
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+
+
+def _parse_dataset_rows(lines, m: int, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (features, labels) of the sample lines lines[1:], parsed one line
+    at a time with float(); raises ValueError naming the first bad line."""
     features = np.empty((len(lines) - 1, m))
     labels = np.empty((len(lines) - 1, 3))
     for i, line in enumerate(lines[1:], start=2):
@@ -78,13 +103,7 @@ def read_dataset_csv(path: str) -> Dataset:
             raise ValueError(f"{path}: line {i} contains a non-numeric field") from None
         features[i - 2] = values[:m]
         labels[i - 2] = values[m:]
-    try:
-        return _owned_dataset(features, labels, freqs)
-    except ValueError as exc:
-        # the header passed, so a cell is non-finite; features are checked first
-        bad = [np.flatnonzero(~np.isfinite(a).all(axis=1)) for a in (features, labels)]
-        line = next(rows[0] for rows in bad if rows.size) + 2
-        raise ValueError(f"{path}: line {line}: {exc}") from None
+    return features, labels
 
 
 def append_dataset_csv(dataset: Dataset, path: str) -> None:

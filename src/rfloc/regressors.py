@@ -214,16 +214,32 @@ def column_order(X: np.ndarray) -> np.ndarray:
 
     Row f lists the row indices of X sorted by X[:, f], ties in row order. The
     dtype is the smallest unsigned one that holds n - 1, and the columns are
-    sorted a block at a time, so no (n, m) intp array is ever held.
+    sorted a block at a time, so no (n, m) intp array is ever held. Each block
+    takes numpy's default (unstable, faster) argsort; a column whose sorted
+    values do not strictly increase has a tie (or a NaN) and is sorted again
+    stably. A strictly increasing column has one ascending order, so both
+    sorts give it the same permutation.
     """
     n, m = X.shape
     order = np.empty((m, n), dtype=np.min_scalar_type(max(n - 1, 0)))
     block = max(1, _BLOCK // n)
     for start in range(0, m, block):
-        order[start : start + block] = np.argsort(
-            X[:, start : start + block], axis=0, kind="stable"
-        ).T
+        cols = np.ascontiguousarray(X[:, start : start + block].T)
+        idx = np.argsort(cols, axis=1)
+        vs = np.take_along_axis(cols, idx, axis=1)
+        tied = ~(vs[:, :-1] < vs[:, 1:]).all(axis=1)
+        if tied.any():
+            idx[tied] = np.argsort(cols[tied], axis=1, kind="stable")
+        order[start : start + block] = idx
     return order
+
+
+def _midpoint(a, b):
+    """The threshold between sorted neighbours a < b: their midpoint, or a
+    when the midpoint of adjacent doubles rounds up to b, so that "<= thr"
+    still separates the two."""
+    thr = (a + b) / 2.0
+    return float(a if thr >= b else thr)
 
 
 def _sum_outputs(e):
@@ -281,8 +297,12 @@ class CartRegressor(Model):
     in ascending value order, ties in row order, without sorting. A node
     scans its features a block at a time, features-major: it gathers the
     fit's [Y | Y*Y] table (one row per output and per square) in each
-    feature's order and takes one cumsum along the rows. After fit,
-    train_leaf holds the leaf each training row reached.
+    feature's order and takes one cumsum along the rows. A node splits while
+    its squared error is above 0, so a node whose label rows are all equal
+    still splits on rounding residue; there every feature gathers the same
+    rows, so one cumsum gives the gain curve of all of them, and the node
+    skips the per-feature scan. After fit, train_leaf holds the leaf each
+    training row reached.
     """
 
     kind = "dtr"
@@ -363,8 +383,9 @@ class CartRegressor(Model):
             if self.random_thresholds:
                 split = self._best_random_split(X, Yn, rows, feats, rng, tot1, tot2, sse_node)
             else:
+                bits = Yn.view(np.uint64)  # bitwise: 0.0 and -0.0 differ
                 split = self._best_midpoint_split(X, YY, order[:, lo : lo + rows.size], feats,
-                                                  tot1, tot2, sse_node)
+                                                  tot1, tot2, sse_node, (bits == bits[0]).all())
             if split is None:
                 continue
             f, thr = split
@@ -390,11 +411,12 @@ class CartRegressor(Model):
         self.train_leaf = train_leaf.astype(np.min_scalar_type(self.node_count - 1))
         return self._mark_fitted(m, Y.shape[1])
 
-    def _best_midpoint_split(self, X, YY, seg, feats, tot1, tot2, sse_node):
+    def _best_midpoint_split(self, X, YY, seg, feats, tot1, tot2, sse_node, constant):
         """The best (feature, threshold) over feats, or None; seg is the
         node's part of the column order (its rows, sorted per feature), YY
-        the fit's (2 * outputs, n) table of the labels and their squares, and
-        tot1, tot2 and sse_node the node's sums of both and squared error."""
+        the fit's (2 * outputs, n) table of the labels and their squares,
+        tot1, tot2 and sse_node the node's sums of both and squared error, and
+        constant whether the node's label rows are all bitwise equal."""
         k, d = seg.shape[1], tot1.size
         # The prefix of j+1 sorted rows is a candidate left side when the
         # value changes after it; lo:hi are the j that leave both sides
@@ -402,6 +424,32 @@ class CartRegressor(Model):
         lo, hi = self.min_samples_leaf - 1, k - self.min_samples_leaf
         n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)  # float: no cast per divide
         n_right = k - n_left
+        shared = None
+        if constant:
+            # Every feature gathers k copies of one [Y | Y*Y] column, so all
+            # share one gain curve: a feature's gain at j is the curve's where
+            # its value changes after j. The scan below then skips the gather,
+            # cumsum and gains, and drops a NaN gain's feature as always.
+            prefix = np.repeat(YY[:, seg[0, :1]], hi, axis=1).cumsum(axis=1)
+            shared = _gains(prefix[:d, lo:], prefix[d:, lo:], tot1, tot2, n_left, n_right,
+                            sse_node)
+            top = shared.max()  # NaN when the curve holds one
+            if top <= 0.0:
+                return None
+            if top > 0.0:  # not NaN
+                # The top level wins if some feature's value changes after one
+                # of its positions: the lowest such feature, at its lowest one.
+                # Only those positions are gathered; else the scan decides.
+                j = lo + np.flatnonzero(shared == top)
+                block = max(1, _BLOCK // j.size)
+                for start in range(0, len(feats), block):
+                    fb = feats[start : start + block, None]
+                    ok = X[seg[fb, j], fb] != X[seg[fb, j + 1], fb]
+                    hit = ok.any(axis=1)
+                    if hit.any():
+                        c = int(hit.argmax())
+                        f, jc = int(fb[c, 0]), j[ok[c].argmax()]
+                        return f, _midpoint(X[seg[f, jc], f], X[seg[f, jc + 1], f])
         best = None
         best_gain = 0.0
         # A block of features at a time, each a contiguous row of the scan:
@@ -411,21 +459,26 @@ class CartRegressor(Model):
             fb = feats[start : start + block]
             idx = seg[fb]  # (features, k): each feature's rows in value order
             vs = X[idx, fb[:, None]]
-            # prefixes past hi are never a left side
-            S = YY.take(idx[:, :hi], axis=1)
-            np.cumsum(S, axis=2, out=S)  # left to right, as the sums always were
             ok = vs[:, lo:hi] != vs[:, lo + 1 : hi + 1]
-            if 2 * np.count_nonzero(ok) < ok.size:
-                # Few distinct values: the gain arithmetic only at candidates.
-                at = np.flatnonzero(ok)  # position j of feature c is c * (hi - lo) + j - lo
-                c_at, j_at = np.divmod(at, hi - lo)
-                S = S.reshape(2 * d, -1).take(c_at * hi + lo + j_at, axis=1)
-                gain = np.full(ok.shape, -np.inf)
-                gain.ravel()[at] = _gains(S[:d], S[d:], tot1, tot2, n_left.take(j_at),
-                                            n_right.take(j_at), sse_node)
+            if shared is not None:
+                gain = np.where(ok, shared, -np.inf)
             else:
-                gain = _gains(S[:d, :, lo:], S[d:, :, lo:], tot1, tot2, n_left, n_right, sse_node)
-                gain[~ok] = -np.inf
+                # prefixes past hi are never a left side
+                S = YY.take(idx[:, :hi], axis=1)
+                np.cumsum(S, axis=2, out=S)  # left to right, as the sums always were
+                if 2 * np.count_nonzero(ok) < ok.size:
+                    # Few distinct values: the gain arithmetic only at candidates.
+                    at = np.flatnonzero(ok)  # position j of feature c is c * (hi - lo) + j - lo
+                    c_at, j_at = np.divmod(at, hi - lo)
+                    S = S.reshape(2 * d, -1).take(c_at * hi + lo + j_at, axis=1)
+                    gain = np.full(ok.shape, -np.inf)
+                    gain.ravel()[at] = _gains(S[:d], S[d:], tot1, tot2, n_left.take(j_at),
+                                                n_right.take(j_at), sse_node)
+                else:
+                    gain = _gains(S[:d, :, lo:], S[d:, :, lo:], tot1, tot2, n_left, n_right,
+                                  sse_node)
+                    gain[~ok] = -np.inf
+                del S  # freed before the next block is gathered
             js = np.argmax(gain, axis=1)  # first max: lowest threshold wins ties
             col_gain = gain[np.arange(len(fb)), js]
             col_gain[np.isnan(col_gain)] = -np.inf  # a NaN gain never wins a feature
@@ -433,14 +486,8 @@ class CartRegressor(Model):
             if col_gain[c] > best_gain:
                 best_gain = float(col_gain[c])
                 j = lo + js[c]
-                thr = (vs[c, j] + vs[c, j + 1]) / 2.0
-                if thr >= vs[c, j + 1]:
-                    # midpoint of adjacent doubles can round up to the higher
-                    # value; fall back to the lower one so "<= thr" still
-                    # separates the two groups
-                    thr = vs[c, j]
-                best = (int(fb[c]), float(thr))
-            del S, gain  # freed before the next block is gathered
+                best = (int(fb[c]), _midpoint(vs[c, j], vs[c, j + 1]))
+            del gain
         return best
 
     def _best_random_split(self, X, Yn, rows, feats, rng, tot1, tot2, sse_node):

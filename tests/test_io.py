@@ -94,6 +94,42 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match=re.escape(f"{p}: line 4: non-finite entry in labels")):
             read_dataset_csv(str(p))
 
+    # extreme, subnormal and signed-zero doubles, written as repr writes them
+    EXACT = [5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, -0.0, 0.1, 1e23, 9007199254740993.0]
+
+    @pytest.mark.parametrize("body, kept", [
+        ("1.0,2.0,3.0,4.0\n\n5.0,6.0,7.0,8.0\n", False),  # loadtxt skips the blank line
+        ("1.0,2.0,3.0,4.0\n5.0,6.0,7.0\n", False),
+        ("1_0,2.0,3.0,4.0\n", False),  # float() reads 10.0; numpy's parser refuses it
+        ("1.0,2.0\x0c,3.0,4.0\n", False),  # splitlines() breaks the line at the form feed
+        ("1.0,nan,3.0,4.0\n", True),
+        ("", False),
+        ("".join(f"{v!r},{-v!r},{v * 0.5!r},{v / 3.0!r}\n" for v in EXACT), True),
+    ], ids=["blank-line", "short-line", "underscore", "form-feed", "nan", "no-rows", "exact-doubles"])
+    def test_the_fast_parse_matches_the_line_parser(self, tmp_path, monkeypatch, body, kept):
+        p = tmp_path / "d.csv"
+        p.write_text("f_91.2,x,y,z\n" + body, encoding="utf-8")
+
+        def outcome():
+            try:
+                ds = read_dataset_csv(str(p))
+            except ValueError as exc:
+                return str(exc)
+            assert ds.features.flags.c_contiguous and ds.labels.flags.c_contiguous
+            return ds.features.tobytes() + ds.labels.tobytes()
+
+        tables, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: tables.append(loadtxt(*a, **k)) or tables[-1])
+        fast = outcome()
+        assert kept == any(t.shape == (len(body.splitlines()), 4) for t in tables)
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)  # only the line parser runs
+        assert fast == outcome()
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")

@@ -624,15 +624,93 @@ def _kernel_case(name, rng):
         Y = rng.normal(size=(100, 3))
         Y[[10, 20], 0] = [1e160, -1e160]
         return rng.normal(size=(100, 4)), Y, {}
+    if name.startswith("grid-labels"):
+        # labels from four positions on continuous features: most splits
+        # divide nodes whose labels are all equal, on rounding residue
+        Y = rng.uniform(0.0, 5.0, size=(4, 3))[rng.integers(0, 4, size=600)]
+        params = {"grid-labels": {}, "grid-labels-min-leaf-3": {"min_samples_leaf": 3},
+                  "grid-labels-max-features-seeded": {"max_features": 2, "seed": 5}}[name]
+        return rng.normal(size=(600, 6)), Y, params
+    if name == "signed-zero-labels":
+        # 0.0 and -0.0 are equal labels with other bits: a node holding both
+        # is not label-constant, and its [Y | Y*Y] prefix sums can differ
+        grid = np.array([[0.0, 2.46, 0.7], [-0.0, 2.46, 0.7], [1.3, -0.0, 0.1]])
+        return rng.normal(size=(300, 4)), grid[rng.integers(0, 3, size=300)], {}
+    if name == "equal-labels":
+        # the same label on every row still grows 9 nodes on rounding residue
+        return rng.normal(size=(200, 3)), np.tile([2.46, 1.3, 0.7], (200, 1)), {}
+    if name in EQUAL_LABEL_TIES:
+        # Every feature shares the root's gain curve, whose top level holds
+        # two positions. The columns named repeat their value across the
+        # positions named, so another column, position or gain level wins.
+        Y = np.tile([1.1, 1.1, 1.1], (200, 1))
+        top = _top_positions(Y)
+        assert top.size == 2
+        columns, positions = EQUAL_LABEL_TIES[name]
+        X = rng.normal(size=(200, 4))
+        for f in columns:
+            v = np.sort(X[:, f])
+            for j in top[positions]:
+                v[j + 1] = v[j]
+            X[:, f] = rng.permutation(v)
+        return X, Y, {}
     assert name == "random-thresholds"
     return rng.normal(size=(200, 5)), rng.normal(size=(200, 3)), {
         "random_thresholds": True, "max_features": 2, "seed": 4}
+
+
+# tied cases: (columns tied, which of the two top positions they tie at)
+EQUAL_LABEL_TIES = {
+    "equal-labels-top-tied-in-column-0": ([0], slice(None)),
+    "equal-labels-first-top-tied-in-column-0": ([0], slice(1)),
+    "equal-labels-top-tied-in-every-column": (range(4), slice(None)),
+}
+
+
+def _top_positions(Y):
+    """The positions j of the highest gain of _equal_label_gains(Y)."""
+    gain = _equal_label_gains(Y)
+    return np.flatnonzero(gain == gain.max())
+
+
+def _equal_label_gains(Y):
+    """The root's gain curve when every label row of Y is the same: the gain
+    of the left side of j + 1 rows, j = 0 .. n - 2, as the reference scan
+    computes it for any feature."""
+    k = Y.shape[0]
+    n_left = np.arange(1, k)[:, None]
+    tot1, tot2 = Y.sum(axis=0), (Y * Y).sum(axis=0)
+    c1, c2 = np.cumsum(Y, axis=0)[:-1], np.cumsum(Y * Y, axis=0)[:-1]
+    sse_l = (c2 - c1 * c1 / n_left).sum(axis=1)
+    s1r = tot1 - c1
+    sse_r = (tot2 - c2 - s1r * s1r / (k - n_left)).sum(axis=1)
+    return float((tot2 - tot1 * tot1 / k).sum()) - sse_l - sse_r
+
+
+def _label_constant_splits(tree, labels):
+    """How many of tree's splits divide training rows whose label rows are all
+    equal (bitwise, when labels is Y's uint64 view). Nodes are in preorder,
+    so a subtree is a range of nodes."""
+    end = np.arange(1, tree.node_count + 1)
+    for node in range(tree.node_count - 1, -1, -1):
+        if tree._feature[node] >= 0:
+            end[node] = end[tree._right[node]]
+    count = 0
+    for node in np.flatnonzero(tree._feature >= 0):
+        under = labels[(tree.train_leaf >= node) & (tree.train_leaf < end[node])]
+        count += bool((under == under[0]).all())
+    return count
 
 
 def _assert_same_tree(got, want):
     for name in ("_feature", "_threshold", "_left", "_right", "_value"):
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
     assert got.split_log == want.split_log
+
+
+# cases whose trees split label-constant nodes, which share one gain curve
+LABEL_CONSTANT_CASES = ("grid-labels", "grid-labels-min-leaf-3", "grid-labels-max-features-seeded",
+                        "signed-zero-labels", "equal-labels", *EQUAL_LABEL_TIES)
 
 
 class TestPresortedCart:
@@ -642,7 +720,8 @@ class TestPresortedCart:
                                       "one-output", "wide-root-one-feature-per-block",
                                       "tie-across-blocks", "few-values-min-leaf-3",
                                       pytest.param("infinite-gains", marks=pytest.mark.filterwarnings(
-                                          "ignore:overflow encountered"))])
+                                          "ignore:overflow encountered")),
+                                      *LABEL_CONSTANT_CASES])
     def test_tree_is_bit_identical_to_per_node_sorting(self, rng, case):
         X, Y, params = _kernel_case(case, rng)
         got = CartRegressor(**params).fit(X, Y)
@@ -651,6 +730,26 @@ class TestPresortedCart:
         _assert_same_tree(got, want)
         # the leaf each training row reached during fit is the one predict finds
         assert np.array_equal(got._value[got.train_leaf], got.predict(X))
+
+    @pytest.mark.parametrize("case", LABEL_CONSTANT_CASES)
+    def test_label_constant_cases_split_label_constant_nodes(self, rng, case):
+        X, Y, params = _kernel_case(case, rng)
+        tree = CartRegressor(**params).fit(X, Y)
+        assert _label_constant_splits(tree, Y.view(np.uint64)) > 0
+        if case == "signed-zero-labels":  # and some nodes hold equal labels of other bits
+            assert _label_constant_splits(tree, Y) > _label_constant_splits(tree, Y.view(np.uint64))
+        if case == "equal-labels":
+            assert tree.node_count == 9
+        if case in EQUAL_LABEL_TIES:
+            root = tree.split_log[0]
+            at = np.count_nonzero(X[:, root.feature] <= root.threshold) - 1
+            top = _top_positions(Y)
+            want = {"equal-labels-top-tied-in-column-0": (1, top[0]),  # no top candidate in 0
+                    "equal-labels-first-top-tied-in-column-0": (0, top[1])}.get(case)
+            if want:
+                assert (root.feature, at) == want
+            else:  # no column has a top candidate: a lower level wins
+                assert at not in top
 
     def test_overflowing_squares_keep_the_root_a_leaf(self, rng):
         X, Y, params = _kernel_case("overflowing-squares", rng)
@@ -696,6 +795,25 @@ class TestPresortedCart:
         want, path = _reference_gbr(X, Y, Q, n_estimators=8)
         assert np.array_equal(model.predict(Q), want)
         assert model.train_rmse_path == path
+
+    @pytest.mark.parametrize("case", ["tie-heavy-integers", "signed-zeros", "4200x400", "uint32-rows"])
+    def test_column_order_is_the_stable_argsort(self, rng, case):
+        if case == "tie-heavy-integers":
+            # tied and untied columns share a block: only the tied ones re-sort
+            X = rng.normal(size=(3000, 10))
+            X[:, ::3] = rng.integers(0, 4, size=(3000, 4))
+        elif case == "signed-zeros":
+            # -0.0 and 0.0 tie, so they keep row order
+            X = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(500, 6))
+            X[:, 5] = rng.normal(size=500)
+        elif case == "4200x400":
+            X = rng.normal(size=(4200, 400))
+        else:
+            X = rng.normal(size=(70_000, 3))
+            X[:, 1] = rng.integers(0, 50, size=70_000)
+        got = column_order(X)
+        assert got.dtype == np.min_scalar_type(X.shape[0] - 1)
+        assert np.array_equal(got, np.argsort(X, axis=0, kind="stable").T)
 
     def test_fit_holds_one_small_order_array(self, rng):
         # The order is uint16 at n = 4200 and is sorted a block of columns at

@@ -3,9 +3,9 @@ with a diff of their printouts.
 
 Covered: fit_model predictions for every id of the registry grammar and for
 tuned EnsembleSpecs, svr and mlp predictions on a 40-bin band, band-select
-importance scores and dddas_cycle results, the split structure of two
-benchmark trees (the band-select 400-bin dtr and every tree of the room-stack
-stacking final), the band-select workload's seed-1 importance run, and the
+importance scores and dddas_cycle results, the split structure of three
+benchmark trees (the band-select 400-bin dtr, the room-stack dtr and every
+tree of the room-stack stacking final), the band-select workload's seed-1 importance run, and the
 files and console output of each CLI command. Fit times are dropped before
 hashing, and temporary paths are replaced by a placeholder.
 
@@ -115,7 +115,7 @@ def _seed_split(scenario_maker, seed: int, *args):
 
 
 def structure_digests() -> None:
-    """The split structure of two benchmark trees: a threshold that moves
+    """The split structure of three benchmark trees: a threshold that moves
     between two test rows changes these lines but no prediction. The
     band-select tree's importance scores and baseline follow its lines."""
     def emit_trees(label, trees):
@@ -131,6 +131,10 @@ def structure_digests() -> None:
     _emit("band-select dtr, 400 bins, seed 1, importance scores", np.array(report.scores_m))
     _emit("band-select dtr, 400 bins, seed 1, importance baseline", repr(report.baseline_rmse_m))
     split = _seed_split(simulate.make_reference_scenario, 1)
+    # most of this tree's splits divide nodes whose labels are all equal
+    tree = registry.fit_model("dtr", split.train, seed=1)
+    _emit("room-stack dtr, seed 1, node arrays and train_leaf", b"".join(
+        np.ascontiguousarray(getattr(tree, name)).tobytes() for name in TREE_ARRAYS))
     stack = registry.fit_model(EnsembleSpec("stacking", base=("knr", "dtr"), final="gbr"),
                                split.train, seed=1)
     emit_trees("room-stack stacking-gbr[knr+dtr] final trees, seed 1,",
