@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import typing
+import warnings
 
 import numpy as np
 
@@ -70,9 +71,12 @@ def read_dataset_csv(path: str) -> Dataset:
     if len(lines) > 1:
         # numpy's parser gives float()'s bits and accepts no field that float()
         # refuses; it skips blank lines, so a short table means one was there.
-        # Any rejection goes to the line parser, which names the bad line.
+        # Any rejection goes to the line parser, which names the bad line;
+        # so does an all-blank body, without loadtxt's "no data" warning.
         try:
-            table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
     if table is not None and table.shape == (len(lines) - 1, m + 3):

@@ -234,14 +234,6 @@ def column_order(X: np.ndarray) -> np.ndarray:
     return order
 
 
-def _midpoint(a, b):
-    """The threshold between sorted neighbours a < b: their midpoint, or a
-    when the midpoint of adjacent doubles rounds up to b, so that "<= thr"
-    still separates the two."""
-    thr = (a + b) / 2.0
-    return float(a if thr >= b else thr)
-
-
 def _sum_outputs(e):
     """e summed over its first axis (the outputs), with the bits of numpy's
     .sum over a contiguous last axis; below 8 outputs the sum is built in e[0].
@@ -433,23 +425,8 @@ class CartRegressor(Model):
             prefix = np.repeat(YY[:, seg[0, :1]], hi, axis=1).cumsum(axis=1)
             shared = _gains(prefix[:d, lo:], prefix[d:, lo:], tot1, tot2, n_left, n_right,
                             sse_node)
-            top = shared.max()  # NaN when the curve holds one
-            if top <= 0.0:
+            if shared.max() <= 0.0:  # False when the curve holds a NaN
                 return None
-            if top > 0.0:  # not NaN
-                # The top level wins if some feature's value changes after one
-                # of its positions: the lowest such feature, at its lowest one.
-                # Only those positions are gathered; else the scan decides.
-                j = lo + np.flatnonzero(shared == top)
-                block = max(1, _BLOCK // j.size)
-                for start in range(0, len(feats), block):
-                    fb = feats[start : start + block, None]
-                    ok = X[seg[fb, j], fb] != X[seg[fb, j + 1], fb]
-                    hit = ok.any(axis=1)
-                    if hit.any():
-                        c = int(hit.argmax())
-                        f, jc = int(fb[c, 0]), j[ok[c].argmax()]
-                        return f, _midpoint(X[seg[f, jc], f], X[seg[f, jc + 1], f])
         best = None
         best_gain = 0.0
         # A block of features at a time, each a contiguous row of the scan:
@@ -486,7 +463,13 @@ class CartRegressor(Model):
             if col_gain[c] > best_gain:
                 best_gain = float(col_gain[c])
                 j = lo + js[c]
-                best = (int(fb[c]), _midpoint(vs[c, j], vs[c, j + 1]))
+                thr = (vs[c, j] + vs[c, j + 1]) / 2.0
+                if thr >= vs[c, j + 1]:
+                    # midpoint of adjacent doubles can round up to the higher
+                    # value; fall back to the lower one so "<= thr" still
+                    # separates the two groups
+                    thr = vs[c, j]
+                best = (int(fb[c]), float(thr))
             del gain
         return best
 

@@ -105,8 +105,11 @@ class TestDatasetCsv:
         ("1.0,2.0\x0c,3.0,4.0\n", False),  # splitlines() breaks the line at the form feed
         ("1.0,nan,3.0,4.0\n", True),
         ("", False),
+        ("\n\n", False),  # loadtxt finds no data at all
         ("".join(f"{v!r},{-v!r},{v * 0.5!r},{v / 3.0!r}\n" for v in EXACT), True),
-    ], ids=["blank-line", "short-line", "underscore", "form-feed", "nan", "no-rows", "exact-doubles"])
+    ], ids=["blank-line", "short-line", "underscore", "form-feed", "nan", "no-rows", "blank-rows",
+          "exact-doubles"])
+    @pytest.mark.filterwarnings("error")  # either parser warns of nothing
     def test_the_fast_parse_matches_the_line_parser(self, tmp_path, monkeypatch, body, kept):
         p = tmp_path / "d.csv"
         p.write_text("f_91.2,x,y,z\n" + body, encoding="utf-8")

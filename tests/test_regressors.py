@@ -639,32 +639,22 @@ def _kernel_case(name, rng):
     if name == "equal-labels":
         # the same label on every row still grows 9 nodes on rounding residue
         return rng.normal(size=(200, 3)), np.tile([2.46, 1.3, 0.7], (200, 1)), {}
-    if name in EQUAL_LABEL_TIES:
+    if name == "equal-labels-top-tied-in-column-0":
         # Every feature shares the root's gain curve, whose top level holds
-        # two positions. The columns named repeat their value across the
-        # positions named, so another column, position or gain level wins.
+        # two positions. Column 0 repeats its value across both, so it has no
+        # split there and column 1 wins at the first of them.
         Y = np.tile([1.1, 1.1, 1.1], (200, 1))
         top = _top_positions(Y)
         assert top.size == 2
-        columns, positions = EQUAL_LABEL_TIES[name]
         X = rng.normal(size=(200, 4))
-        for f in columns:
-            v = np.sort(X[:, f])
-            for j in top[positions]:
-                v[j + 1] = v[j]
-            X[:, f] = rng.permutation(v)
+        v = np.sort(X[:, 0])
+        for j in top:
+            v[j + 1] = v[j]
+        X[:, 0] = rng.permutation(v)
         return X, Y, {}
     assert name == "random-thresholds"
     return rng.normal(size=(200, 5)), rng.normal(size=(200, 3)), {
         "random_thresholds": True, "max_features": 2, "seed": 4}
-
-
-# tied cases: (columns tied, which of the two top positions they tie at)
-EQUAL_LABEL_TIES = {
-    "equal-labels-top-tied-in-column-0": ([0], slice(None)),
-    "equal-labels-first-top-tied-in-column-0": ([0], slice(1)),
-    "equal-labels-top-tied-in-every-column": (range(4), slice(None)),
-}
 
 
 def _top_positions(Y):
@@ -710,7 +700,7 @@ def _assert_same_tree(got, want):
 
 # cases whose trees split label-constant nodes, which share one gain curve
 LABEL_CONSTANT_CASES = ("grid-labels", "grid-labels-min-leaf-3", "grid-labels-max-features-seeded",
-                        "signed-zero-labels", "equal-labels", *EQUAL_LABEL_TIES)
+                        "signed-zero-labels", "equal-labels", "equal-labels-top-tied-in-column-0")
 
 
 class TestPresortedCart:
@@ -740,16 +730,10 @@ class TestPresortedCart:
             assert _label_constant_splits(tree, Y) > _label_constant_splits(tree, Y.view(np.uint64))
         if case == "equal-labels":
             assert tree.node_count == 9
-        if case in EQUAL_LABEL_TIES:
+        if case == "equal-labels-top-tied-in-column-0":
             root = tree.split_log[0]
             at = np.count_nonzero(X[:, root.feature] <= root.threshold) - 1
-            top = _top_positions(Y)
-            want = {"equal-labels-top-tied-in-column-0": (1, top[0]),  # no top candidate in 0
-                    "equal-labels-first-top-tied-in-column-0": (0, top[1])}.get(case)
-            if want:
-                assert (root.feature, at) == want
-            else:  # no column has a top candidate: a lower level wins
-                assert at not in top
+            assert (root.feature, at) == (1, _top_positions(Y)[0])
 
     def test_overflowing_squares_keep_the_root_a_leaf(self, rng):
         X, Y, params = _kernel_case("overflowing-squares", rng)
