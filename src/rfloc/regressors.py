@@ -292,9 +292,9 @@ class CartRegressor(Model):
     feature's order and takes one cumsum along the rows. A node splits while
     its squared error is above 0, so a node whose label rows are all equal
     still splits on rounding residue; there every feature gathers the same
-    rows, so one cumsum gives the gain curve of all of them, and the node
-    skips the per-feature scan. After fit, train_leaf holds the leaf each
-    training row reached.
+    rows, so one cumsum gives the gain curve of all of them, and the node's
+    scan reads that curve instead of gathering and summing each feature's
+    rows. After fit, train_leaf holds the leaf each training row reached.
     """
 
     kind = "dtr"
@@ -375,9 +375,12 @@ class CartRegressor(Model):
             if self.random_thresholds:
                 split = self._best_random_split(X, Yn, rows, feats, rng, tot1, tot2, sse_node)
             else:
-                bits = Yn.view(np.uint64)  # bitwise: 0.0 and -0.0 differ
+                # bitwise, so 0.0 and -0.0 differ; unequal end rows settle
+                # most nodes without a pass over all of them
+                bits = Yn.view(np.uint64)
+                constant = Yn[0].tobytes() == Yn[-1].tobytes() and bool((bits == bits[0]).all())
                 split = self._best_midpoint_split(X, YY, order[:, lo : lo + rows.size], feats,
-                                                  tot1, tot2, sse_node, (bits == bits[0]).all())
+                                                  tot1, tot2, sse_node, constant)
             if split is None:
                 continue
             f, thr = split
