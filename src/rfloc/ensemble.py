@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .core import Dataset, _check_count, _check_real, _child_rng, _child_seed, validate_dataset
-from .regressors import CartRegressor, Model, column_order, fit_on_dataset
+from .regressors import CartRegressor, Model, _presort, fit_on_dataset
 
 # Default stacking base list: the five single regressors plus the five
 # ensemble regressors from the boosting/bagging comparisons.
@@ -187,12 +187,12 @@ class GradientBoosting(Model):
         self._base_value = Y.mean(axis=0)
         self._trees = [[] for _ in range(d)]
         F = np.tile(self._base_value, (X.shape[0], 1))
-        order = column_order(X)
+        order, tied = _presort(X)
         self.train_rmse_path = []
         for _ in range(self.n_estimators):
             for j in range(d):
                 tree = CartRegressor(max_depth=self.max_depth)
-                tree.fit(X, (Y[:, j] - F[:, j])[:, None], order=order)
+                tree.fit(X, (Y[:, j] - F[:, j])[:, None], order=order, tied=tied)
                 self._trees[j].append(tree)
                 F[:, j] += self.learning_rate * tree._value[tree.train_leaf, 0]
             self.train_rmse_path.append(

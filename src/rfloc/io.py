@@ -62,17 +62,27 @@ def _parse_dataset_header(header_line: str, path: str) -> tuple[float, ...]:
 
 def read_dataset_csv(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    # numpy's parser reads \x1c-\x1f around a number as blanks; float() refuses them
+    fast = not any(c in text for c in "\x1c\x1d\x1e\x1f")
+    # Lines end at "\n" only, as the writer ends them: splitlines() also breaks
+    # at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029, and float() reads
+    # some of those as blanks inside a field.
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":
+        lines.pop()  # the last line's end
     if not lines:
         raise ValueError(f"{path}: empty file")
     freqs = _parse_dataset_header(lines[0], path)
     m = len(freqs)
     table = None
-    if len(lines) > 1:
-        # numpy's parser gives float()'s bits and accepts no field that float()
-        # refuses; it skips blank lines, so a short table means one was there.
-        # Any rejection goes to the line parser, which names the bad line;
-        # so does an all-blank body, without loadtxt's "no data" warning.
+    if fast and len(lines) > 1:
+        # numpy's parser then gives float()'s bits and accepts no field that
+        # float() refuses; it skips blank lines, so a short table means one
+        # was there. Any rejection goes to the line parser, which names the
+        # bad line; so does an all-blank body, without loadtxt's "no data"
+        # warning.
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)

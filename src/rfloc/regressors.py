@@ -198,14 +198,14 @@ class SplitRecord:
 
 # Elements per block of the tree kernel's sort, scan and partition steps: a
 # block of features holds about _BLOCK of a node's rows in all, so the scan's
-# [Y | Y*Y] gather holds about 2 * outputs * _BLOCK floats (a larger scan block
-# once raised band-select's peak RSS from 119 to 201 MB). On two cores the
-# 400-bin band-select dtr fit took 1.60, 1.41, 1.45 and 1.39 s (medians of 10
-# in-process rounds) at 2**13 to 2**16, and 1.40 against 1.39 s at 2**14 and
-# 2**15 over 20 more. At 2**15 band-select's peak RSS read 119.5-124.3 MB over
-# five seeds (the old scan at 2**14: 119.4-125.0; bimodal on both). 2**16 would
-# double the 400-bin root scan's 1.4 MB gather, past the allowance of
-# test_fit_holds_one_small_order_array.
+# gather of one output's labels and squares holds about 2 * _BLOCK floats (a
+# larger scan block once raised band-select's peak RSS from 119 to 201 MB). On
+# two cores the 400-bin band-select dtr fit took 1.60, 1.41, 1.45 and 1.39 s
+# (medians of 10 in-process rounds) at 2**13 to 2**16, and 1.40 against 1.39 s
+# at 2**14 and 2**15 over 20 more. At 2**15 band-select's peak RSS read
+# 119.5-124.3 MB over five seeds (the old scan at 2**14: 119.4-125.0; bimodal
+# on both). 2**16 would double the 400-bin root scan's temporaries, past the
+# allowance of test_fit_holds_one_small_order_array.
 _BLOCK = 1 << 15
 
 
@@ -220,18 +220,27 @@ def column_order(X: np.ndarray) -> np.ndarray:
     stably. A strictly increasing column has one ascending order, so both
     sorts give it the same permutation.
     """
+    return _presort(X)[0]
+
+
+def _presort(X):
+    """column_order(X), and a bool per column: True when its sorted values do
+    not strictly increase (a tie or a NaN). Every node's rows of a column
+    without one hold distinct values, so each of their prefixes ends where
+    the value changes."""
     n, m = X.shape
     order = np.empty((m, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    tied = np.empty(m, dtype=bool)
     block = max(1, _BLOCK // n)
     for start in range(0, m, block):
         cols = np.ascontiguousarray(X[:, start : start + block].T)
         idx = np.argsort(cols, axis=1)
         vs = np.take_along_axis(cols, idx, axis=1)
-        tied = ~(vs[:, :-1] < vs[:, 1:]).all(axis=1)
-        if tied.any():
-            idx[tied] = np.argsort(cols[tied], axis=1, kind="stable")
+        t = tied[start : start + block] = ~(vs[:, :-1] < vs[:, 1:]).all(axis=1)
+        if t.any():
+            idx[t] = np.argsort(cols[t], axis=1, kind="stable")
         order[start : start + block] = idx
-    return order
+    return order, tied
 
 
 def _sum_outputs(e):
@@ -250,12 +259,12 @@ def _sum_outputs(e):
     return total
 
 
-def _gains(S1, S2, tot1, tot2, n_left, n_right, sse_node):
-    """Variance-reduction gain of each candidate left side, from its prefix
-    sums S1 of the labels and S2 of their squares (outputs first, n_left
-    rows each) and the node's totals (n_left + n_right rows). Each output's
-    squared error is s2 - s1 * s1 / count; S1 and S2 are overwritten with
-    the left and the right ones, an output at a time.
+def _side_errors(S1, S2, tot1, tot2, n_left, n_right):
+    """Squared error of each candidate left side and of its right side, from
+    its prefix sums S1 of the labels and S2 of their squares (outputs first,
+    n_left rows each) and the node's totals (n_left + n_right rows). Each
+    output's squared error is s2 - s1 * s1 / count; S1 and S2 are overwritten
+    with the left and the right ones, an output at a time.
     """
     right = np.empty_like(S1[0])
     for s1, s2, t1, t2 in zip(S1, S2, tot1, tot2):
@@ -267,10 +276,42 @@ def _gains(S1, S2, tot1, tot2, n_left, n_right, sse_node):
         right *= right
         right /= n_right
         s2 -= right
-    gain = _sum_outputs(S1)
-    np.subtract(sse_node, gain, out=gain)
-    gain -= _sum_outputs(S2)
-    return gain
+
+
+def _gains(YZ, cols, at, tot1, tot2, n_left, n_right, sse_node):
+    """Variance-reduction gain of candidate left sides: YZ is the fit's
+    (outputs, n) label table y + 1j * y*y, cols each feature's rows in value
+    order (one row of cols per feature), at either the first candidate prefix
+    lo (an int: every later prefix is scored too) or the candidates' flat
+    positions in the (features, rows) prefix sums, and the rest the node's
+    sums, counts and squared error (n_left + n_right rows).
+
+    The table is gathered in cols' order and summed along the rows: a complex
+    add is the two real adds, so one cumsum gives the label sums and the
+    square sums with the bits of two. A block of more than _BLOCK elements
+    over all outputs is gathered, summed and scored an output at a time, and
+    the outputs' errors are added in output order, as numpy's .sum adds fewer
+    than 8; 8 or more outputs, or a smaller block, take all outputs at once.
+    """
+    d = len(tot1)
+    step = d if d >= 8 or d * cols.size <= _BLOCK else 1
+    for i in range(0, d, step):
+        S = YZ[i : i + step].take(cols, axis=1)
+        np.cumsum(S, axis=-1, out=S)
+        S = S[..., at:] if np.isscalar(at) else S.reshape(step, -1).take(at, axis=1)
+        # contiguous copies: in-place arithmetic on the strided parts is slower
+        S1, S2 = S.real.copy(), S.imag.copy()
+        del S
+        _side_errors(S1, S2, tot1[i : i + step], tot2[i : i + step], n_left, n_right)
+        if i:
+            gain_left += S1[0]
+            gain_right += S2[0]
+        else:
+            gain_left, gain_right = _sum_outputs(S1), _sum_outputs(S2)
+        del S1, S2  # freed before the next output is gathered
+    np.subtract(sse_node, gain_left, out=gain_left)
+    gain_left -= gain_right
+    return gain_left
 
 
 class CartRegressor(Model):
@@ -288,13 +329,20 @@ class CartRegressor(Model):
     stably partitions that order at every split, so each node sees its rows
     in ascending value order, ties in row order, without sorting. A node
     scans its features a block at a time, features-major: it gathers the
-    fit's [Y | Y*Y] table (one row per output and per square) in each
-    feature's order and takes one cumsum along the rows. A node splits while
-    its squared error is above 0, so a node whose label rows are all equal
-    still splits on rounding residue; there every feature gathers the same
-    rows, so one cumsum gives the gain curve of all of them, and the node's
-    scan reads that curve instead of gathering and summing each feature's
-    rows. After fit, train_leaf holds the leaf each training row reached.
+    fit's label table, one complex row y + 1j * y*y per output, in each
+    feature's order and takes one cumsum along the rows, which sums the
+    labels in the real parts and their squares in the imaginary parts with
+    the bits of two real cumsums. A wide block is gathered, summed and scored
+    an output at a time. A column whose sorted values never repeat has a
+    candidate threshold after every row at every node, so its values are read
+    only for the winner's threshold; only a column with a tie is gathered to
+    mask the prefixes that end inside a run of equal values. A node splits
+    while its squared error is above 0, so a node whose label rows are all
+    equal still splits on rounding residue; there every feature gathers the
+    same rows, so one cumsum gives the gain curve of all of them, and the
+    node's scan reads that curve instead of gathering and summing each
+    feature's rows. After fit, train_leaf holds the leaf each training row
+    reached.
     """
 
     kind = "dtr"
@@ -319,9 +367,11 @@ class CartRegressor(Model):
         self.random_thresholds = random_thresholds
         self.seed = seed
 
-    def fit(self, features, labels, *, order=None):
+    def fit(self, features, labels, *, order=None, tied=None):
         """Grow the tree. order, when given, is column_order(features) and is
-        only read: a caller that fits many trees on one X sorts it once."""
+        only read: a caller that fits many trees on one X sorts it once. tied,
+        given with it, flags the columns whose sorted values repeat (_presort);
+        without it every column is scanned as if it had a tie."""
         X, Y = self._fit_inputs(features, labels)
         n, m = X.shape
         if self.max_features is not None and not 1 <= self.max_features <= m:
@@ -329,17 +379,23 @@ class CartRegressor(Model):
         if self.random_thresholds:
             order = None  # one random threshold per feature: no sorted scan
         elif order is None:
-            order = column_order(X)
+            order, tied = _presort(X)
         elif order.shape != (m, n):
             raise ValueError(f"order has shape {order.shape}, expected {(m, n)}")
         else:
             order = order.copy()  # partitioned in place below
+            tied = np.ones(m, dtype=bool) if tied is None else np.asarray(tied, dtype=bool)
+            if tied.shape != (m,):
+                raise ValueError(f"tied has shape {tied.shape}, expected {(m,)}")
         feature, threshold, left, right, value = [], [], [], [], []
         train_leaf = np.empty(n, dtype=np.intp)
         goes_left = np.zeros(n, dtype=bool)
         rng = np.random.default_rng(self.seed)
-        # the labels and their squares, one contiguous row per output
-        YY = None if order is None else np.concatenate([Y.T, (Y * Y).T])
+        # the labels and their squares, one complex row per output
+        YZ = None
+        if order is not None:
+            YZ = np.empty((Y.shape[1], n), dtype=np.complex128)
+            YZ.real, YZ.imag = Y.T, (Y * Y).T
         # Explicit preorder stack (left child first) instead of recursion:
         # near-duplicate rows can produce trees deeper than Python's
         # recursion limit. A node's rows are ascending and own the positions
@@ -379,8 +435,8 @@ class CartRegressor(Model):
                 # most nodes without a pass over all of them
                 bits = Yn.view(np.uint64)
                 constant = Yn[0].tobytes() == Yn[-1].tobytes() and bool((bits == bits[0]).all())
-                split = self._best_midpoint_split(X, YY, order[:, lo : lo + rows.size], feats,
-                                                  tot1, tot2, sse_node, constant)
+                split = self._best_midpoint_split(X, YZ, order[:, lo : lo + rows.size], feats,
+                                                  tied, tot1, tot2, sse_node, constant)
             if split is None:
                 continue
             f, thr = split
@@ -406,13 +462,14 @@ class CartRegressor(Model):
         self.train_leaf = train_leaf.astype(np.min_scalar_type(self.node_count - 1))
         return self._mark_fitted(m, Y.shape[1])
 
-    def _best_midpoint_split(self, X, YY, seg, feats, tot1, tot2, sse_node, constant):
+    def _best_midpoint_split(self, X, YZ, seg, feats, tied, tot1, tot2, sse_node, constant):
         """The best (feature, threshold) over feats, or None; seg is the
-        node's part of the column order (its rows, sorted per feature), YY
-        the fit's (2 * outputs, n) table of the labels and their squares,
-        tot1, tot2 and sse_node the node's sums of both and squared error, and
-        constant whether the node's label rows are all bitwise equal."""
-        k, d = seg.shape[1], tot1.size
+        node's part of the column order (its rows, sorted per feature), YZ
+        the fit's (outputs, n) table y + 1j * y*y, tied the columns' tie
+        flags, tot1, tot2 and sse_node the node's sums of the labels and their
+        squares and its squared error, and constant whether the node's label
+        rows are all bitwise equal."""
+        k = seg.shape[1]
         # The prefix of j+1 sorted rows is a candidate left side when the
         # value changes after it; lo:hi are the j that leave both sides
         # min_samples_leaf rows (the caller ensures k >= 2 * min_samples_leaf).
@@ -421,57 +478,63 @@ class CartRegressor(Model):
         n_right = k - n_left
         shared = None
         if constant:
-            # Every feature gathers k copies of one [Y | Y*Y] column, so all
-            # share one gain curve: a feature's gain at j is the curve's where
-            # its value changes after j. The scan below then skips the gather,
+            # Every feature gathers k copies of one label row, so all share
+            # one gain curve: a feature's gain at j is the curve's where its
+            # value changes after j. The scan below then skips the gather,
             # cumsum and gains, and drops a NaN gain's feature as always.
-            prefix = np.repeat(YY[:, seg[0, :1]], hi, axis=1).cumsum(axis=1)
-            shared = _gains(prefix[:d, lo:], prefix[d:, lo:], tot1, tot2, n_left, n_right,
-                            sse_node)
+            cols = np.repeat(seg[0, :1].astype(np.intp), hi)[None]
+            shared = _gains(YZ, cols, lo, tot1, tot2, n_left, n_right, sse_node)[0]
             if shared.max() <= 0.0:  # False when the curve holds a NaN
                 return None
         best = None
         best_gain = 0.0
         # A block of features at a time, each a contiguous row of the scan:
-        # the (2 * outputs, features, rows) temporaries stay near 2d * _BLOCK.
+        # one output's (features, rows) complex prefix sums hold 2 * _BLOCK floats.
         block = max(1, _BLOCK // k)
         for start in range(0, len(feats), block):
             fb = feats[start : start + block]
             idx = seg[fb]  # (features, k): each feature's rows in value order
-            vs = X[idx, fb[:, None]]
-            ok = vs[:, lo:hi] != vs[:, lo + 1 : hi + 1]
+            ok = None  # a column without a tie has a candidate at every j
+            has_tie = tied[fb]
+            if has_tie.any():
+                ok = np.ones((len(fb), hi - lo), dtype=bool)
+                vs = X[idx[has_tie], fb[has_tie, None]]
+                ok[has_tie] = vs[:, lo:hi] != vs[:, lo + 1 : hi + 1]
+                del vs
             if shared is not None:
-                gain = np.where(ok, shared, -np.inf)
+                # without a tie, every feature of the block has the shared
+                # curve, so the first of them stands for all
+                gain = shared[None] if ok is None else np.where(ok, shared, -np.inf)
             else:
-                # prefixes past hi are never a left side
-                S = YY.take(idx[:, :hi], axis=1)
-                np.cumsum(S, axis=2, out=S)  # left to right, as the sums always were
-                if 2 * np.count_nonzero(ok) < ok.size:
+                # prefixes past hi are never a left side; intp once, not at
+                # every output's take
+                cols = idx[:, :hi].astype(np.intp)
+                if ok is not None and 2 * np.count_nonzero(ok) < ok.size:
                     # Few distinct values: the gain arithmetic only at candidates.
                     at = np.flatnonzero(ok)  # position j of feature c is c * (hi - lo) + j - lo
                     c_at, j_at = np.divmod(at, hi - lo)
-                    S = S.reshape(2 * d, -1).take(c_at * hi + lo + j_at, axis=1)
                     gain = np.full(ok.shape, -np.inf)
-                    gain.ravel()[at] = _gains(S[:d], S[d:], tot1, tot2, n_left.take(j_at),
-                                                n_right.take(j_at), sse_node)
+                    gain.ravel()[at] = _gains(YZ, cols, c_at * hi + lo + j_at, tot1, tot2,
+                                              n_left.take(j_at), n_right.take(j_at), sse_node)
                 else:
-                    gain = _gains(S[:d, :, lo:], S[d:, :, lo:], tot1, tot2, n_left, n_right,
-                                  sse_node)
-                    gain[~ok] = -np.inf
-                del S  # freed before the next block is gathered
+                    gain = _gains(YZ, cols, lo, tot1, tot2, n_left, n_right, sse_node)
+                    if ok is not None:
+                        gain[~ok] = -np.inf
+                del cols
             js = np.argmax(gain, axis=1)  # first max: lowest threshold wins ties
-            col_gain = gain[np.arange(len(fb)), js]
+            col_gain = gain[np.arange(len(gain)), js]
             col_gain[np.isnan(col_gain)] = -np.inf  # a NaN gain never wins a feature
             c = int(np.argmax(col_gain))  # first max: lowest feature wins ties
             if col_gain[c] > best_gain:
                 best_gain = float(col_gain[c])
                 j = lo + js[c]
-                thr = (vs[c, j] + vs[c, j + 1]) / 2.0
-                if thr >= vs[c, j + 1]:
+                a, b = X[idx[c, j : j + 2], fb[c]]
+                thr = (a + b) / 2.0
+                if thr >= b:
                     # midpoint of adjacent doubles can round up to the higher
                     # value; fall back to the lower one so "<= thr" still
                     # separates the two groups
-                    thr = vs[c, j]
+                    thr = a
                 best = (int(fb[c]), float(thr))
             del gain
         return best

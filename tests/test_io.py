@@ -102,13 +102,14 @@ class TestDatasetCsv:
         ("1.0,2.0,3.0,4.0\n\n5.0,6.0,7.0,8.0\n", False),  # loadtxt skips the blank line
         ("1.0,2.0,3.0,4.0\n5.0,6.0,7.0\n", False),
         ("1_0,2.0,3.0,4.0\n", False),  # float() reads 10.0; numpy's parser refuses it
-        ("1.0,2.0\x0c,3.0,4.0\n", False),  # splitlines() breaks the line at the form feed
+        ("1.0,2.0\x0c,3.0,4.0\n", True),  # both read the form feed as a blank
+        ("1.0,2.0\x1f,3.0,4.0\n", False),  # numpy's parser would read it as a blank; float() refuses
         ("1.0,nan,3.0,4.0\n", True),
         ("", False),
         ("\n\n", False),  # loadtxt finds no data at all
         ("".join(f"{v!r},{-v!r},{v * 0.5!r},{v / 3.0!r}\n" for v in EXACT), True),
-    ], ids=["blank-line", "short-line", "underscore", "form-feed", "nan", "no-rows", "blank-rows",
-          "exact-doubles"])
+    ], ids=["blank-line", "short-line", "underscore", "form-feed", "unit-separator", "nan", "no-rows",
+          "blank-rows", "exact-doubles"])
     @pytest.mark.filterwarnings("error")  # either parser warns of nothing
     def test_the_fast_parse_matches_the_line_parser(self, tmp_path, monkeypatch, body, kept):
         p = tmp_path / "d.csv"
@@ -125,13 +126,30 @@ class TestDatasetCsv:
         tables, loadtxt = [], np.loadtxt
         monkeypatch.setattr(np, "loadtxt", lambda *a, **k: tables.append(loadtxt(*a, **k)) or tables[-1])
         fast = outcome()
-        assert kept == any(t.shape == (len(body.splitlines()), 4) for t in tables)
+        assert kept == any(t.shape == (body.count("\n"), 4) for t in tables)
 
         def refuse(*args, **kwargs):
             raise ValueError("refused")
 
         monkeypatch.setattr(np, "loadtxt", refuse)  # only the line parser runs
         assert fast == outcome()
+
+    def test_lines_end_at_newlines_only(self, tmp_path):
+        # float() reads \x0c, \x0b, \x85 and \u2028 as blanks; str.splitlines()
+        # would break a line at each of them
+        p = tmp_path / "d.csv"
+        p.write_text("f_91.2,x,y,z\n1.0,2.0,3.0,4.0\x0c\n5.0,6.0\x0b,7.0\x85,8.0\u2028\n", encoding="utf-8")
+        ds = read_dataset_csv(str(p))
+        assert ds.features.tolist() == [[1.0], [5.0]]
+        assert ds.labels.tolist() == [[2.0, 3.0, 4.0], [6.0, 7.0, 8.0]]
+        # a bad line after them keeps its line number
+        p.write_text("f_91.2,x,y,z\n1.0,2.0,3.0,4.0\x0c\n5.0,6.0\x0b,7.0,8.0\n9.0,1.0,2.0\n",
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 4 has 3 fields, expected 4")):
+            read_dataset_csv(str(p))
+        p.write_text("f_91.2,x,y,z\n1.0,2.0,3.0,4.0\x0c\n1.0,2.0\x1f,3.0,4.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3 contains a non-numeric field")):
+            read_dataset_csv(str(p))
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -591,6 +591,30 @@ def _kernel_case(name, rng):
         d = 8 if name == "eight-outputs" else 9
         Y = rng.normal(size=(300, d)) * 10.0 ** rng.integers(-6, 7, size=d)
         return rng.normal(size=(300, 4)), Y, {}
+    if name == "eight-outputs-wide-root":
+        # the root's block holds more than _BLOCK elements over its outputs,
+        # which a tree of fewer outputs scans an output at a time
+        Y = rng.normal(size=(2000, 8)) * 10.0 ** rng.integers(-6, 7, size=8)
+        assert 8 * 1999 * 5 > regressors._BLOCK
+        return rng.normal(size=(2000, 5)), Y, {"max_depth": 5}
+    if name.startswith("mixed-block"):
+        # one scan block holds tie-free columns 1 and 4 and tied columns of
+        # four values: most of the block's prefixes end inside a run of
+        # equal values, so it takes the gains only at candidates
+        X = rng.integers(0, 4, size=(500, 6)).astype(np.float64)
+        X[:, [1, 4]] = rng.normal(size=(500, 2))
+        if name == "mixed-block-grid-labels":  # label-constant nodes read one shared curve
+            return X, rng.uniform(0.0, 5.0, size=(4, 3))[rng.integers(0, 4, size=500)], {}
+        return X, rng.normal(size=(500, 3)) + X[:, :1], {"max_depth": 8}
+    if name == "tie-free-adjacent-doubles":
+        # column 0 never repeats a value, and the labels step where it moves
+        # from a to the next double b, whose midpoint rounds up to b
+        a = float(np.nextafter(1.0, 2.0))
+        b = float(np.nextafter(a, 2.0))
+        v = np.concatenate([np.linspace(0.0, 0.9, 40), [a, b], np.linspace(1.1, 2.0, 38)])
+        X = np.column_stack([rng.permutation(v), rng.normal(size=80)])
+        Y = np.where(X[:, :1] > a, 10.0, 0.0) + 0.01 * rng.normal(size=(80, 2))
+        return X, Y, {}
     if name == "one-output":
         # the shape of every gradient-boosting tree
         X = rng.normal(size=(500, 5))
@@ -708,6 +732,8 @@ class TestPresortedCart:
                                       "max-features-seeded", "bootstrap-duplicates",
                                       "random-thresholds", "eight-outputs", "nine-outputs",
                                       "one-output", "wide-root-one-feature-per-block",
+                                      "eight-outputs-wide-root", "mixed-block",
+                                      "mixed-block-grid-labels", "tie-free-adjacent-doubles",
                                       "tie-across-blocks", "few-values-min-leaf-3",
                                       pytest.param("infinite-gains", marks=pytest.mark.filterwarnings(
                                           "ignore:overflow encountered")),
@@ -734,6 +760,73 @@ class TestPresortedCart:
             root = tree.split_log[0]
             at = np.count_nonzero(X[:, root.feature] <= root.threshold) - 1
             assert (root.feature, at) == (1, _top_positions(Y)[0])
+
+    @pytest.mark.parametrize("case", ["mixed-block", "mixed-block-grid-labels"])
+    def test_one_block_mixes_tied_and_tie_free_columns(self, rng, case):
+        X, Y, params = _kernel_case(case, rng)
+        _, tied = regressors._presort(X)
+        assert tied.tolist() == [True, False, True, True, False, True]
+        assert X.size <= regressors._BLOCK  # the root scans every column in one block
+        tree = CartRegressor(**params).fit(X, Y)
+        assert {0, 1, 4} <= set(tree.used_features().tolist())
+
+    def test_tie_free_winner_between_adjacent_doubles_keeps_the_lower_value(self, rng):
+        X, Y, params = _kernel_case("tie-free-adjacent-doubles", rng)
+        a = float(np.nextafter(1.0, 2.0))
+        b = float(np.nextafter(a, 2.0))
+        assert (a + b) / 2.0 == b  # the midpoint rounds up
+        assert not regressors._presort(X)[1][0]
+        got = CartRegressor(**params).fit(X, Y)
+        _assert_same_tree(got, _reference_cart(X, Y, **params))
+        assert got.split_log[0] == regressors.SplitRecord(0, a)
+
+    @pytest.mark.parametrize("outputs", [1, 3, 7, 8, 9])
+    @pytest.mark.parametrize("k", [40, 1500], ids=["small-block", "wide-block"])
+    def test_gains_match_the_reference_arithmetic_bit_for_bit(self, rng, outputs, k):
+        # a wide block holds more than _BLOCK elements over its outputs; below
+        # 8 outputs it is scored an output at a time
+        Y = rng.normal(size=(k, outputs)) * 10.0 ** rng.integers(-6, 7, size=outputs)
+        cols = np.array([rng.permutation(k)[: k - 1] for _ in range(12)])
+        assert (outputs * cols.size > regressors._BLOCK) == (k == 1500 and outputs > 1)
+        YZ = np.empty((outputs, k), dtype=np.complex128)
+        YZ.real, YZ.imag = Y.T, (Y * Y).T
+        tot1, tot2 = Y.sum(axis=0), (Y * Y).sum(axis=0)
+        sse_node = float((tot2 - tot1 * tot1 / k).sum())
+        n_left = np.arange(1, k, dtype=np.float64)
+        # the per-node-argsort kernel's arithmetic, outputs last
+        c1, c2 = np.cumsum(Y[cols], axis=1), np.cumsum(Y[cols] ** 2, axis=1)
+        s1r, s2r = tot1 - c1, tot2 - c2
+        want = (sse_node - (c2 - c1 * c1 / n_left[:, None]).sum(axis=2)
+                - (s2r - s1r * s1r / (k - n_left)[:, None]).sum(axis=2))
+        got = regressors._gains(YZ, cols, 0, tot1, tot2, n_left, k - n_left, sse_node)
+        assert got.tobytes() == want.tobytes()
+        at = np.flatnonzero(rng.random(cols.size) < 0.1)  # the few-candidates scan
+        j_at = at % (k - 1)
+        got = regressors._gains(YZ, cols, at, tot1, tot2, n_left[j_at], k - n_left[j_at], sse_node)
+        assert got.tobytes() == want.ravel()[at].tobytes()
+
+    def test_complex_cumsum_is_two_real_cumsums(self):
+        # The scan sums labels and squares as the parts of one complex cumsum.
+        # Cancellation, signed zeros, subnormals, overflow and NaN would each
+        # show any other order or rounding of the two lanes.
+        big = 1.7976931348623157e308
+        re_ = [1e16, 1.0, -1e16, 1.0, -0.0, -0.0, 0.0, 5e-324, 5e-324, -1e-300, big, big,
+               -np.inf, 3.0]
+        im = [-0.0, -0.0, 0.1, 0.2, 0.3, -1e16, 1e16, 1e-320, -big, -big, 1e308, np.inf, 1.0,
+              np.nan]
+        parts = np.array([re_, im])
+        rng = np.random.default_rng(3)
+        noise = rng.normal(size=(2, 3, 4, 500)) * 10.0 ** rng.integers(-300, 300, size=(2, 3, 4, 500))
+        for a, b in [(parts[0], parts[1]), (parts[1], parts[0]), (noise[0], noise[1])]:
+            z = np.empty(a.shape, dtype=np.complex128)
+            z.real, z.imag = a, b
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.cumsum(a, axis=-1), np.cumsum(b, axis=-1)
+                got = np.cumsum(z, axis=-1)
+                np.cumsum(z, axis=-1, out=z)  # in place, as the scan takes it
+            for c in (got, z):
+                assert c.real.tobytes() == want[0].tobytes()
+                assert c.imag.tobytes() == want[1].tobytes()
 
     def test_overflowing_squares_keep_the_root_a_leaf(self, rng):
         X, Y, params = _kernel_case("overflowing-squares", rng)
