@@ -197,7 +197,7 @@ def _owned_dataset(features: np.ndarray, labels: np.ndarray, frequencies_mhz) ->
         bad = ~np.isfinite(arr)
         if bad.any():
             r, c = np.argwhere(bad)[0]
-            raise ValueError(f"non-finite entry in {name} at row {r}, column {c}")
+            raise ValueError(f"non-finite entry in {name} at row {r}, column {c}: {arr[r, c]}")
 
     return Dataset(
         features=_readonly(features),

@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import Dataset, _check_count, _check_real, _child_rng, _child_seed, validate_dataset
-from .regressors import CartRegressor, Model, _presort, fit_on_dataset
+from .core import Dataset, _check_count, _check_real, _child_rng, _child_seed
+from .regressors import CartRegressor, Model, column_order, fit_on_dataset
 
 # Default stacking base list: the five single regressors plus the five
 # ensemble regressors from the boosting/bagging comparisons.
@@ -69,14 +69,17 @@ def _used_by(models) -> np.ndarray:
 class _BuilderEnsemble(Model):
     """An ensemble whose members come from (train: Dataset, seed) builders.
 
-    Subclasses implement _fit_members(train); fit wraps raw arrays in a
-    Dataset with placeholder frequencies 1..m. A prediction reads the
-    columns its members_ read.
+    Subclasses implement _fit_members(train); fit wraps the arrays it has
+    checked in a Dataset with placeholder frequencies 1..m, so the labels
+    may be one column or any number. A prediction reads the columns its
+    members_ read.
     """
 
     def fit(self, features, labels):
         X, Y = self._fit_inputs(features, labels)
-        return self.fit_dataset(validate_dataset(X, Y, np.arange(1, X.shape[1] + 1)))
+        # C-ordered, as a Dataset's arrays are; members copy what they keep
+        band = tuple(float(f) for f in range(1, X.shape[1] + 1))
+        return self.fit_dataset(Dataset(np.ascontiguousarray(X), np.ascontiguousarray(Y), band))
 
     def fit_dataset(self, train: Dataset):
         self._fit_inputs(train.features, train.labels)
@@ -117,7 +120,6 @@ class AdaBoostR2(_BuilderEnsemble):
         self.members_ = []
         self.member_weights_ = []
         self.avg_losses_ = []
-        self.weight_history = [w.copy()]
         for r in range(self.n_estimators):
             w = w / w.sum()
             idx = _child_rng(self.seed, r, 0).choice(n, size=n, replace=True, p=w)
@@ -145,7 +147,6 @@ class AdaBoostR2(_BuilderEnsemble):
             self.avg_losses_.append(avg_loss)
             w = w * beta ** (1.0 - loss)
             w = w / w.sum()
-            self.weight_history.append(w.copy())
         self.member_weights_ = np.array(self.member_weights_)
 
     def _predict(self, features):
@@ -187,12 +188,12 @@ class GradientBoosting(Model):
         self._base_value = Y.mean(axis=0)
         self._trees = [[] for _ in range(d)]
         F = np.tile(self._base_value, (X.shape[0], 1))
-        order, tied = _presort(X)
+        order = column_order(X)
         self.train_rmse_path = []
         for _ in range(self.n_estimators):
             for j in range(d):
                 tree = CartRegressor(max_depth=self.max_depth)
-                tree.fit(X, (Y[:, j] - F[:, j])[:, None], order=order, tied=tied)
+                tree.fit(X, (Y[:, j] - F[:, j])[:, None], order=order)
                 self._trees[j].append(tree)
                 F[:, j] += self.learning_rate * tree._value[tree.train_leaf, 0]
             self.train_rmse_path.append(
@@ -524,14 +525,15 @@ def build_stacking_plan(train: Dataset, base_builders, n_folds: int = 5, seed: i
 
 
 def stacking_fit_from_plan(
-    train: Dataset, plan: StackingPlan, final_builder, n_folds: int = 5, seed: int = 0
+    train: Dataset, plan: StackingPlan, final_builder, seed: int = 0
 ) -> StackingEnsemble:
     """Fit a stacking model reusing a previously built plan (shared bases).
 
+    The model's n_folds is the plan's fold count, len(plan.fold_plan).
     fit_time_s is the plan's build time plus the final estimator's own fit
     time, so every model that shares a plan reports the full cost of a fit.
     """
-    model = StackingEnsemble(plan.base_builders, final_builder, n_folds=n_folds, seed=seed)
+    model = StackingEnsemble(plan.base_builders, final_builder, len(plan.fold_plan), seed=seed)
     model._attach_plan(train, plan)
     model._mark_fitted(train.m, train.labels.shape[1])
     model.fit_time_s = plan.build_time_s + getattr(model.final_, "fit_time_s", 0.0)

@@ -289,9 +289,11 @@ def read_rtlpower_scan(path: str) -> list[tuple[np.ndarray, np.ndarray]]:
     with their line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines()]
+        text = fh.read()
     rows = []
-    for lineno, line in enumerate(lines, start=1):
+    # Lines end at "\n" only, as in read_dataset_csv: splitlines() also breaks
+    # at \x0b, \x0c and other separators and shifts every later line number.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         parts = [p.strip() for p in line.split(",")]

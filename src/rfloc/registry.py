@@ -176,9 +176,7 @@ def _fit_stacking_spec(spec: EnsembleSpec, train: Dataset, eff_seed: int, plan_c
         base_builders = [builder_for(b) for b in spec.base]
         plan = build_stacking_plan(train, base_builders, n_folds=spec.n_folds, seed=plan_seed)
         plan_cache[key] = (train, plan)
-    return stacking_fit_from_plan(
-        train, plan_cache[key][1], builder_for(spec.final), n_folds=spec.n_folds, seed=eff_seed
-    )
+    return stacking_fit_from_plan(train, plan_cache[key][1], builder_for(spec.final), seed=eff_seed)
 
 
 def builder_for(item, plan_cache=None):

@@ -209,25 +209,20 @@ class SplitRecord:
 _BLOCK = 1 << 15
 
 
-def column_order(X: np.ndarray) -> np.ndarray:
-    """The stable ascending order of every column of X, as an (m, n) array.
+def column_order(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable ascending order of every column of X, as an (m, n) array,
+    and a bool per column: True when its sorted values do not strictly
+    increase (a tie or a NaN).
 
-    Row f lists the row indices of X sorted by X[:, f], ties in row order. The
-    dtype is the smallest unsigned one that holds n - 1, and the columns are
-    sorted a block at a time, so no (n, m) intp array is ever held. Each block
-    takes numpy's default (unstable, faster) argsort; a column whose sorted
-    values do not strictly increase has a tie (or a NaN) and is sorted again
-    stably. A strictly increasing column has one ascending order, so both
-    sorts give it the same permutation.
+    Row f of the order lists the row indices of X sorted by X[:, f], ties in
+    row order. Its dtype is the smallest unsigned one that holds n - 1, and
+    the columns are sorted a block at a time, so no (n, m) intp array is ever
+    held. Each block takes numpy's default (unstable, faster) argsort; a
+    flagged column is sorted again stably. An unflagged column has one
+    ascending order, so both sorts give it the same permutation, and every
+    node's rows of it hold distinct values: each of their prefixes ends where
+    the value changes.
     """
-    return _presort(X)[0]
-
-
-def _presort(X):
-    """column_order(X), and a bool per column: True when its sorted values do
-    not strictly increase (a tie or a NaN). Every node's rows of a column
-    without one hold distinct values, so each of their prefixes ends where
-    the value changes."""
     n, m = X.shape
     order = np.empty((m, n), dtype=np.min_scalar_type(max(n - 1, 0)))
     tied = np.empty(m, dtype=bool)
@@ -367,11 +362,10 @@ class CartRegressor(Model):
         self.random_thresholds = random_thresholds
         self.seed = seed
 
-    def fit(self, features, labels, *, order=None, tied=None):
-        """Grow the tree. order, when given, is column_order(features) and is
-        only read: a caller that fits many trees on one X sorts it once. tied,
-        given with it, flags the columns whose sorted values repeat (_presort);
-        without it every column is scanned as if it had a tie."""
+    def fit(self, features, labels, *, order=None):
+        """Grow the tree. order, when given, is column_order(features), the
+        column order and its tie flags, and is only read: a caller that fits
+        many trees on one X sorts it once."""
         X, Y = self._fit_inputs(features, labels)
         n, m = X.shape
         if self.max_features is not None and not 1 <= self.max_features <= m:
@@ -379,14 +373,12 @@ class CartRegressor(Model):
         if self.random_thresholds:
             order = None  # one random threshold per feature: no sorted scan
         elif order is None:
-            order, tied = _presort(X)
-        elif order.shape != (m, n):
-            raise ValueError(f"order has shape {order.shape}, expected {(m, n)}")
+            order, tied = column_order(X)
         else:
+            order, tied = order
+            if order.shape != (m, n):
+                raise ValueError(f"order has shape {order.shape}, expected {(m, n)}")
             order = order.copy()  # partitioned in place below
-            tied = np.ones(m, dtype=bool) if tied is None else np.asarray(tied, dtype=bool)
-            if tied.shape != (m,):
-                raise ValueError(f"tied has shape {tied.shape}, expected {(m,)}")
         feature, threshold, left, right, value = [], [], [], [], []
         train_leaf = np.empty(n, dtype=np.intp)
         goes_left = np.zeros(n, dtype=bool)

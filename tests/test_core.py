@@ -60,8 +60,12 @@ class TestValidateDataset:
     def test_non_finite_rejected(self):
         X = np.zeros((3, 2))
         X[1, 0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^non-finite entry in features at row 1, column 0: nan$"):
             validate_dataset(X, np.zeros((3, 3)), (1.0, 2.0))
+        Y = np.zeros((3, 3))
+        Y[2, 1] = -np.inf
+        with pytest.raises(ValueError, match=r"^non-finite entry in labels at row 2, column 1: -inf$"):
+            validate_dataset(np.zeros((3, 2)), Y, (1.0, 2.0))
 
     def test_leaves_the_callers_arrays_as_they_are(self):
         rng = np.random.default_rng(0)

@@ -69,28 +69,32 @@ class TestWeightedMedian:
 
 
 class TestAdaBoost:
-    def _one_bad_row(self):
-        # member errs by exactly 1 m on row 0 and is perfect elsewhere
-        X = np.arange(5.0)[:, None]
-        Y = np.zeros((5, 3))
-
+    @staticmethod
+    def _bad_row_member(row):
+        # a member that errs by exactly 1 m on the given row and is perfect elsewhere
         def fn(Q):
             out = np.zeros((len(Q), 3))
-            out[Q[:, 0] == 0.0, 0] = 1.0
+            out[Q[:, 0] == row, 0] = 1.0
             return out
 
-        return _dataset(X, Y), lambda ds, seed: _FixedModel(fn)
+        return _FixedModel(fn)
 
     def test_hand_worked_round(self):
-        train, builder = self._one_bad_row()
+        train = _dataset(np.arange(5.0)[:, None], np.zeros((5, 3)))
+        builder = lambda ds, seed: self._bad_row_member(0.0)
         m = fit_on_dataset(AdaBoostR2(builder, n_estimators=10, seed=0), train)
         # round 0: uniform weights, one relative loss of 1 -> avg loss 1/5
         assert m.avg_losses_[0] == pytest.approx(0.2, rel=1e-12)
         assert m.member_weights_[0] == pytest.approx(math.log(4.0), rel=1e-12)
-        # reweighting: bad row keeps 0.2, others shrink by beta=0.25
-        assert np.allclose(m.weight_history[1], [0.5, 0.125, 0.125, 0.125, 0.125])
-        # round 1 sees avg loss 0.5 and stops; the round is discarded
+        # round 1 sees avg loss 0.5 (row 0 now weighs 0.5) and stops; the round is discarded
         assert len(m.members_) == 1
+        # reweighting: the bad row keeps 0.2, the others shrink by beta=0.25, so
+        # after normalising row 1 weighs 0.125: a second member erring only there
+        # has that average loss
+        members = iter([self._bad_row_member(0.0), self._bad_row_member(1.0)])
+        m = fit_on_dataset(AdaBoostR2(lambda ds, seed: next(members), n_estimators=2), train)
+        assert m.avg_losses_[1] == 0.125
+        assert m.member_weights_[1] == pytest.approx(math.log(7.0), rel=1e-12)
 
     def test_perfect_member_stops_with_unit_weight(self):
         X = np.arange(4.0)[:, None]
@@ -307,6 +311,29 @@ class TestArrayFit:
             on_dataset = fit_on_dataset(make(), _dataset(X, Y))
             assert np.array_equal(on_arrays.predict(X), on_dataset.predict(X))
 
+    @pytest.mark.parametrize("kind", ["abr", "bagging-dtr", "rfr", "ert", "stacking"])
+    @pytest.mark.parametrize("outputs", [None, 2], ids=["1-D", "2-column"])
+    def test_labels_of_any_width(self, rng, kind, outputs):
+        X = rng.normal(size=(40, 3))
+        Y = X @ rng.normal(size=(3, outputs or 1))
+        if outputs is None:
+            Y = Y[:, 0]
+        tree = lambda sub, seed: cart_fit(sub, max_depth=2)
+        make = {
+            "abr": lambda: AdaBoostR2(tree, n_estimators=3, seed=1),
+            "bagging-dtr": lambda: BaggingEnsemble(tree, n_estimators=3, seed=1),
+            "rfr": lambda: RandomForest(n_estimators=2, seed=1),
+            "ert": lambda: ExtraTrees(n_estimators=2, seed=1),
+            "stacking": lambda: StackingEnsemble([tree, tree], tree, seed=1),
+        }[kind]
+        model = make().fit(X, Y)
+        width = outputs or 1
+        assert model.n_outputs == width
+        assert model.predict(X[:5]).shape == (5, width)
+        # a 1-D label fits as its one column
+        want = make().fit(X, Y.reshape(40, width)).predict(X)
+        assert np.array_equal(model.predict(X), want)
+
 
 class TestForests:
     def test_forest_averages_its_members(self, rng):
@@ -445,6 +472,15 @@ class TestStacking:
         assert np.array_equal(via_plan.predict(Q), direct.predict(Q))
         assert via_plan.base_builders == plan.base_builders == builders
         assert via_plan.frequencies_mhz == ds.frequencies_mhz
+
+    def test_a_plan_gives_the_model_its_fold_count(self):
+        ds = toy_dataset(n=30, m=3, seed=16)
+        final = lambda sub, seed: knn_fit(sub, k=1)
+        plan = build_stacking_plan(ds, self._builders(2), n_folds=3, seed=4)
+        via_plan = stacking_fit_from_plan(ds, plan, final, seed=4)
+        assert via_plan.n_folds == len(via_plan.fold_plan) == 3
+        direct = fit_on_dataset(StackingEnsemble(self._builders(2), final, n_folds=3, seed=4), ds)
+        assert np.array_equal(via_plan.predict(ds.features), direct.predict(ds.features))
 
     def test_validation(self):
         ds = toy_dataset(n=6, m=2, seed=14)

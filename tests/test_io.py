@@ -84,7 +84,7 @@ class TestDatasetCsv:
             read_dataset_csv(str(p))
         p.write_text("f_91.2,f_93.6,x,y,z\n1,2,3,4,5\n1,nan,3,4,5\n1,2,3,4,inf\n")
         with pytest.raises(ValueError, match=re.escape(
-                f"{p}: line 3: non-finite entry in features at row 1, column 1")):
+                f"{p}: line 3: non-finite entry in features at row 1, column 1: nan")):
             read_dataset_csv(str(p))
         # features are checked before labels, as validate_dataset does
         p.write_text("f_91.2,f_93.6,x,y,z\n1,2,3,4,inf\n1,nan,3,4,5\n")
@@ -382,6 +382,19 @@ class TestRtlPowerScan:
         )
         with pytest.raises(ValueError, match="line 2"):
             read_rtlpower_scan(path)
+
+    def test_a_form_feed_does_not_end_a_line(self, tmp_path):
+        # str.splitlines() would break the first row at \x0c and name line 3
+        path = self._write(
+            tmp_path,
+            "2024-05-01, 10:00:00, 91000000, 91400000, 200000, 16, -40\x0c\n"
+            "2024-05-01, 10:00:00, 91000000, 91400000, 200000, 16, oops\n",
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2 contains a non-numeric")):
+            read_rtlpower_scan(path)
+        path = self._write(tmp_path, "d, t, 91000000, 91400000, 200000, 16, -40\x0c, -41\n")
+        rows = read_rtlpower_scan(path)
+        assert len(rows) == 1 and np.array_equal(rows[0][1], [-40.0, -41.0])
 
     def test_non_positive_step_rejected(self, tmp_path):
         path = self._write(tmp_path, "d, t, 91000000, 91400000, 0, 16, -40\n")

@@ -764,7 +764,7 @@ class TestPresortedCart:
     @pytest.mark.parametrize("case", ["mixed-block", "mixed-block-grid-labels"])
     def test_one_block_mixes_tied_and_tie_free_columns(self, rng, case):
         X, Y, params = _kernel_case(case, rng)
-        _, tied = regressors._presort(X)
+        _, tied = column_order(X)
         assert tied.tolist() == [True, False, True, True, False, True]
         assert X.size <= regressors._BLOCK  # the root scans every column in one block
         tree = CartRegressor(**params).fit(X, Y)
@@ -775,7 +775,7 @@ class TestPresortedCart:
         a = float(np.nextafter(1.0, 2.0))
         b = float(np.nextafter(a, 2.0))
         assert (a + b) / 2.0 == b  # the midpoint rounds up
-        assert not regressors._presort(X)[1][0]
+        assert not column_order(X)[1][0]
         got = CartRegressor(**params).fit(X, Y)
         _assert_same_tree(got, _reference_cart(X, Y, **params))
         assert got.split_log[0] == regressors.SplitRecord(0, a)
@@ -850,15 +850,16 @@ class TestPresortedCart:
     def test_a_shared_order_is_read_not_written(self, rng):
         X = rng.integers(0, 4, size=(200, 3)).astype(np.float64)
         Y = rng.normal(size=(200, 1))
-        order = column_order(X)
+        order, tied = column_order(X)
         assert order.dtype == np.uint8 and order.shape == (3, 200)
+        assert tied.tolist() == [True, True, True]
         before = order.copy()
-        a = CartRegressor(max_depth=3).fit(X, Y, order=order)
+        a = CartRegressor(max_depth=3).fit(X, Y, order=(order, tied))
         assert np.array_equal(order, before)
         b = CartRegressor(max_depth=3).fit(X, Y)
         assert np.array_equal(a._threshold, b._threshold, equal_nan=True)
         with pytest.raises(ValueError, match=r"order has shape \(3, 199\), expected \(3, 200\)"):
-            CartRegressor().fit(X, Y, order=order[:, 1:])
+            CartRegressor().fit(X, Y, order=(order[:, 1:], tied))
 
     @pytest.mark.parametrize("lossless", [False, True], ids=["gbr", "lossless-hgbr"])
     def test_boosting_is_bit_identical_to_per_node_sorting(self, rng, lossless):
@@ -888,9 +889,16 @@ class TestPresortedCart:
         else:
             X = rng.normal(size=(70_000, 3))
             X[:, 1] = rng.integers(0, 50, size=70_000)
-        got = column_order(X)
+        got, tied = column_order(X)
         assert got.dtype == np.min_scalar_type(X.shape[0] - 1)
         assert np.array_equal(got, np.argsort(X, axis=0, kind="stable").T)
+        # a column is flagged exactly when its sorted values do not strictly increase
+        vs = np.sort(X, axis=0)
+        assert np.array_equal(tied, ~(vs[:-1] < vs[1:]).all(axis=0))
+        flagged = {"tie-heavy-integers": [j % 3 == 0 for j in range(10)],
+                   "signed-zeros": [True] * 5 + [False],
+                   "4200x400": [False] * 400, "uint32-rows": [False, True, False]}
+        assert tied.tolist() == flagged[case]
 
     def test_fit_holds_one_small_order_array(self, rng):
         # The order is uint16 at n = 4200 and is sorted a block of columns at
