@@ -42,13 +42,21 @@ def _check_real(name: str, value, ok=lambda v: True, expected: str = "a finite n
         raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
-def _check_finite(name: str, what: str, A: np.ndarray) -> None:
-    """Raise ValueError naming the first non-finite value of the 2-D A, its
-    row and its column."""
+def _matrix(owner: str, what: str, A, width: int | None = None) -> np.ndarray:
+    """A as a float64 2-D array; raises ValueError naming owner and what
+    unless it is 2-D, of the given width (when one is given) and finite,
+    naming the shape, both widths, or the first non-finite value with its row
+    and column."""
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2:
+        raise ValueError(f"{owner}: {what} must be 2-D, got shape {A.shape}")
+    if width is not None and A.shape[1] != width:
+        raise ValueError(f"{owner}: {what} must have width {width}, got {A.shape[1]}")
     finite = np.isfinite(A)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
-        raise ValueError(f"{name}: non-finite {what} value {A[r, c]} at row {r}, column {c}")
+        raise ValueError(f"{owner}: non-finite {what} value {A[r, c]} at row {r}, column {c}")
+    return A
 
 
 def _check_band(name: str, band) -> tuple[float, ...]:
@@ -165,7 +173,10 @@ def validate_dataset(features, labels, frequencies_mhz) -> Dataset:
     """Check feature/label/frequency consistency and build a Dataset of
     read-only copies; the arrays given are left as they are.
 
-    Raises ValueError naming the offending dimension, index, or entry.
+    Raises ValueError naming the bad frequency and its index, a row-count
+    mismatch, or (as _matrix, owner "Dataset") a features array that is not
+    2-D with one column per frequency, labels that are not 2-D with 3
+    columns, or the first non-finite value with its row and column.
     """
     return _owned_dataset(
         np.array(features, dtype=np.float64, order="C"),
@@ -177,27 +188,14 @@ def validate_dataset(features, labels, frequencies_mhz) -> Dataset:
 def _owned_dataset(features: np.ndarray, labels: np.ndarray, frequencies_mhz) -> Dataset:
     """validate_dataset for float64 arrays that no caller holds: the Dataset
     takes them over, made read-only in place rather than copied."""
-    freqs = tuple(frequencies_mhz)
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-D, got ndim={features.ndim}")
-    if labels.ndim != 2 or labels.shape[1] != 3:
-        raise ValueError(f"labels must be n x 3, got shape {labels.shape}")
+    freqs = _check_band("frequencies_mhz", frequencies_mhz)
+    features = _matrix("Dataset", "features", features, len(freqs))
+    labels = _matrix("Dataset", "labels", labels, 3)
     if features.shape[0] != labels.shape[0]:
         raise ValueError(
             f"row count mismatch: {features.shape[0]} feature rows vs "
             f"{labels.shape[0]} label rows"
         )
-    if features.shape[1] != len(freqs):
-        raise ValueError(
-            f"feature width {features.shape[1]} does not match "
-            f"{len(freqs)} frequencies"
-        )
-    freqs = _check_band("frequencies_mhz", freqs)
-    for name, arr in (("features", features), ("labels", labels)):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            raise ValueError(f"non-finite entry in {name} at row {r}, column {c}: {arr[r, c]}")
 
     return Dataset(
         features=_readonly(features),

@@ -60,6 +60,13 @@ def _member_predict(member, features) -> np.ndarray:
     return member._predict(features) if isinstance(member, Model) else member.predict(features)
 
 
+def _array_dataset(X: np.ndarray, Y: np.ndarray) -> Dataset:
+    """Checked arrays in a Dataset, C-ordered as a Dataset's arrays are, with
+    the placeholder band 1.0..m; members copy what they keep."""
+    band = tuple(float(f) for f in range(1, X.shape[1] + 1))
+    return Dataset(np.ascontiguousarray(X), np.ascontiguousarray(Y), band)
+
+
 def _used_by(models) -> np.ndarray:
     """The sorted union of the columns that models read."""
     used = [m.used_features() for m in models]
@@ -70,16 +77,12 @@ class _BuilderEnsemble(Model):
     """An ensemble whose members come from (train: Dataset, seed) builders.
 
     Subclasses implement _fit_members(train); fit wraps the arrays it has
-    checked in a Dataset with placeholder frequencies 1..m, so the labels
-    may be one column or any number. A prediction reads the columns its
-    members_ read.
+    checked in one Dataset (_array_dataset), so the labels may be one column
+    or any number. A prediction reads the columns its members_ read.
     """
 
     def fit(self, features, labels):
-        X, Y = self._fit_inputs(features, labels)
-        # C-ordered, as a Dataset's arrays are; members copy what they keep
-        band = tuple(float(f) for f in range(1, X.shape[1] + 1))
-        return self.fit_dataset(Dataset(np.ascontiguousarray(X), np.ascontiguousarray(Y), band))
+        return self.fit_dataset(_array_dataset(*self._fit_inputs(features, labels)))
 
     def fit_dataset(self, train: Dataset):
         self._fit_inputs(train.features, train.labels)
@@ -357,8 +360,7 @@ class StackingEnsemble(_BuilderEnsemble):
         self.fold_plan = plan.fold_plan
         self.meta_features_ = plan.meta_features
         self.full_bases_ = plan.full_bases
-        width = plan.meta_features.shape[1]
-        meta = Dataset(plan.meta_features, train.labels, tuple(range(1, width + 1)))
+        meta = _array_dataset(plan.meta_features, train.labels)
         self.final_ = _build(self.final_builder, meta, _child_seed(self.seed, 2**31),
                              "final estimator failed on meta-features")
 
@@ -491,6 +493,8 @@ class StackingPlan:
 
 def build_stacking_plan(train: Dataset, base_builders, n_folds: int = 5, seed: int = 0) -> StackingPlan:
     t0 = time.perf_counter()
+    _check_count("n_folds", n_folds, 2)
+    _check_count("seed", seed, 0)
     n = train.n
     if n < n_folds:
         raise ValueError(f"cannot split {n} rows into {n_folds} non-empty folds")

@@ -16,16 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SplitDataset, _check_count
+from .core import SplitDataset, _check_count, _matrix
 
 
-def _check_pair(true_labels, pred_labels):
-    T = np.asarray(true_labels, dtype=np.float64)
-    P = np.asarray(pred_labels, dtype=np.float64)
+def _check_pair(owner, true_labels, pred_labels):
+    T = _matrix(owner, "truth", true_labels)
+    P = _matrix(owner, "prediction", pred_labels)
     if T.shape != P.shape:
         raise ValueError(f"shape mismatch: truth {T.shape} vs prediction {P.shape}")
-    if T.ndim != 2:
-        raise ValueError(f"labels must be 2-D, got ndim={T.ndim}")
     if T.shape[0] == 0:
         raise ValueError("metrics need at least one sample")
     return T, P
@@ -35,15 +33,18 @@ def rmse(true_labels, pred_labels) -> float:
     """Root mean squared position error in meters.
 
     Per-sample squared Euclidean distances are averaged, then rooted:
-    sqrt((1/n) * sum_i ||c_i - chat_i||^2).
+    sqrt((1/n) * sum_i ||c_i - chat_i||^2). Truth and prediction must be
+    finite 2-D arrays of one shape with at least one row; anything else
+    raises ValueError naming the metric, as in r2 and ce95.
     """
-    T, P = _check_pair(true_labels, pred_labels)
+    T, P = _check_pair("rmse", true_labels, pred_labels)
     return float(np.sqrt(np.mean(np.sum((T - P) ** 2, axis=1))))
 
 
 def r2(true_labels, pred_labels) -> float:
-    """Coefficient of determination, unweighted mean over output columns."""
-    T, P = _check_pair(true_labels, pred_labels)
+    """Coefficient of determination, unweighted mean over output columns.
+    Takes what rmse takes, with at least 2 rows and no zero-variance truth column."""
+    T, P = _check_pair("r2", true_labels, pred_labels)
     if T.shape[0] < 2:
         raise ValueError("r2 needs at least 2 samples")
     ss_res = np.sum((T - P) ** 2, axis=0)
@@ -58,9 +59,10 @@ def ce95(true_labels, pred_labels) -> float:
     """95th percentile of per-sample Euclidean errors (meters).
 
     Linear interpolation between order statistics at position
-    p = 0.95 * (n - 1), so the result is bit-reproducible.
+    p = 0.95 * (n - 1), so the result is bit-reproducible. Takes what rmse
+    takes.
     """
-    T, P = _check_pair(true_labels, pred_labels)
+    T, P = _check_pair("ce95", true_labels, pred_labels)
     errors = np.sort(np.linalg.norm(T - P, axis=1))
     p = 0.95 * (errors.size - 1)
     lo = int(math.floor(p))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_count, _check_finite
+from .core import _check_count, _matrix
 
 
 @dataclass(frozen=True)
@@ -36,18 +36,16 @@ def pca_fit(features, n_components: int) -> PcaModel:
 
     Columns are centered by their means; components are eigenvectors of the
     sample covariance (divisor n - 1) sorted by descending eigenvalue. Each
-    component is flipped so its largest-magnitude entry is positive. A bad
-    n_components, or a non-finite feature here or at pca_transform, raises
-    ValueError naming it (with its row and column).
+    component is flipped so its largest-magnitude entry is positive. Raises
+    ValueError, as _matrix, on features that are not 2-D or hold a
+    non-finite value (naming it with its row and column), and on fewer than
+    2 rows or a bad n_components.
     """
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"features must be 2-D, got ndim={X.ndim}")
+    X = _matrix("pca_fit", "features", features)
     n, m = X.shape
     if n < 2:
         raise ValueError(f"pca needs at least 2 rows, got {n}")
     _check_count("n_components", n_components, 1, min(n - 1, m))
-    _check_finite("pca_fit", "features", X)
 
     mean = X.mean(axis=0)
     centered = X - mean
@@ -72,13 +70,10 @@ def pca_fit(features, n_components: int) -> PcaModel:
 
 
 def pca_transform(model: PcaModel, features) -> np.ndarray:
-    """Project rows onto the fitted components: (features - mean) @ components.T."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"features must be 2-D, got ndim={X.ndim}")
-    if X.shape[1] != model.mean.size:
-        raise ValueError(
-            f"feature width {X.shape[1]} does not match the fitted width {model.mean.size}"
-        )
-    _check_finite("pca_transform", "features", X)
+    """Project rows onto the fitted components: (features - mean) @ components.T.
+
+    Raises ValueError, as _matrix, on features that are not 2-D, not of the
+    fitted width, or hold a non-finite value.
+    """
+    X = _matrix("pca_transform", "features", features, model.mean.size)
     return (X - model.mean) @ model.components.T

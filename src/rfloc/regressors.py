@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
-from .core import Dataset, _check_count, _check_finite, _check_real
+from .core import Dataset, _check_count, _check_real, _matrix
 
 
 class NotFittedError(RuntimeError):
@@ -51,23 +51,17 @@ class Model:
 
     def _fit_inputs(self, features, labels) -> tuple[np.ndarray, np.ndarray]:
         """Training arrays as float64, a 1-D label as one column; raises
-        ValueError naming the class on a bad shape, an empty set or a
-        non-finite value (with its row and column)."""
-        X = np.asarray(features, dtype=np.float64)
-        Y = np.asarray(labels, dtype=np.float64)
-        if Y.ndim == 1:
-            Y = Y[:, None]
+        ValueError naming the class on an array that is not 2-D or holds a
+        non-finite value (as _matrix), on a row-count mismatch, or on an
+        empty set."""
         name = type(self).__name__
-        if X.ndim != 2 or Y.ndim != 2:
-            raise ValueError(
-                f"{name}: features and labels must be 2-D, got shapes {X.shape} and {Y.shape}"
-            )
+        X = _matrix(name, "features", features)
+        Y = np.asarray(labels, dtype=np.float64)
+        Y = _matrix(name, "labels", Y[:, None] if Y.ndim == 1 else Y)
         if X.shape[0] != Y.shape[0]:
             raise ValueError(f"{name}: {X.shape[0]} feature rows vs {Y.shape[0]} label rows")
         if X.shape[0] == 0:
             raise ValueError(f"cannot fit {name} on an empty training set")
-        _check_finite(name, "features", X)
-        _check_finite(name, "labels", Y)
         return X, Y
 
     def _mark_fitted(self, n_features: int, n_outputs: int):
@@ -83,21 +77,13 @@ class Model:
         return self._predict(self._query(features))
 
     def _query(self, features) -> np.ndarray:
-        """The query as float64; raises ValueError on one that is not 2-D,
-        empty, of another width than the fit, or non-finite (naming the value,
-        its row and its column)."""
+        """The query as float64; raises ValueError naming the class on one that
+        is not 2-D, not of the fitted width or non-finite (as _matrix), or
+        empty."""
         self._check_fitted()
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2:
-            raise ValueError(f"query features must be 2-D, got ndim={features.ndim}")
+        features = _matrix(type(self).__name__, "query", features, self.n_features)
         if features.shape[0] == 0:
             raise ValueError("empty query")
-        if features.shape[1] != self.n_features:
-            raise ValueError(
-                f"{type(self).__name__} was fit on {self.n_features} features, "
-                f"got a query with {features.shape[1]}"
-            )
-        _check_finite(type(self).__name__, "query", features)
         return features
 
     def _predict(self, features) -> np.ndarray:
@@ -592,6 +578,8 @@ class CartRegressor(Model):
         """For each (column, perms) of shuffles, yield (column, P), an array of
         shape (len(perms), n, outputs) whose P[r] is predict of a copy of
         features with that column replaced by features[perms[r], column].
+        A perm entry that is not an integer in [0, n) raises ValueError naming
+        the column, the value and its (repeat, position).
 
         A prediction reads only the features tested on the row's path, so
         the rows whose path never tests the column keep their prediction. The
@@ -613,6 +601,12 @@ class CartRegressor(Model):
             if perms.ndim != 2 or perms.shape[1] != n:
                 raise ValueError(f"perms of column {j} must have shape (repeats, {n}), "
                                  f"got {perms.shape}")
+            integer = perms.dtype.kind in "iu"
+            bad = (perms < 0) | (perms >= n) if integer else np.ones(perms.shape, bool)
+            if bad.any():
+                r, i = np.argwhere(bad)[0]
+                raise ValueError(f"perms of column {j} must hold integer row indices in [0, {n}), "
+                                 f"got {perms[r, i]} at (repeat {r}, position {i})")
             rows = tested[starts[j] : starts[j + 1]] - j * n
             P = np.repeat(base[None], len(perms), axis=0)
             if rows.size:

@@ -318,6 +318,25 @@ class TestRoutedTreeImportance:
         with pytest.raises(ValueError, match="non-finite query value nan at row 2, column 3"):
             list(tree.permuted_predictions(Q, []))
 
+    @pytest.mark.parametrize("bad, named", [
+        (2.0, "got 2.0 at (repeat 0, position 0)"),
+        (9, "got 9 at (repeat 1, position 3)"),
+        (-1, "got -1 at (repeat 1, position 3)"),
+    ])
+    def test_a_perm_must_hold_row_indices(self, splits, bad, named):
+        split = splits["integer"]
+        tree = fit_on_dataset(CartRegressor(), split.train)
+        X = split.test.features[:5]
+        perms = np.tile(np.arange(5), (2, 1))
+        if isinstance(bad, float):
+            perms = perms.astype(np.float64)
+            perms[0, 0] = bad
+        else:
+            perms[1, 3] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"perms of column 2 must hold integer row indices in [0, 5), {named}")):
+            list(tree.permuted_predictions(X, [(2, perms)]))
+
 
 class TestSelectRatedBand:
     def _report(self, scores):

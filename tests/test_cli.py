@@ -304,7 +304,7 @@ class TestPca:
         data = tmp_path / "d.csv"
         data.write_text("f_91.2,f_93.6,x,y,z\n1,2,3,4,5\n1,nan,3,4,5\n")
         assert main(["pca", "--data", str(data), "--out", str(tmp_path / "p.csv")]) != 0
-        assert f"{data}: line 3: non-finite entry in features" in capsys.readouterr().err
+        assert f"{data}: line 3: Dataset: non-finite features value" in capsys.readouterr().err
 
 
 class TestIngestRtlPower:

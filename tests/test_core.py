@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from rfloc import RandomForest
+from rfloc import KnnRegressor, RandomForest, pca_fit, pca_transform, rmse
 from rfloc.core import (
     Dataset,
     Position,
@@ -60,11 +60,11 @@ class TestValidateDataset:
     def test_non_finite_rejected(self):
         X = np.zeros((3, 2))
         X[1, 0] = np.nan
-        with pytest.raises(ValueError, match=r"^non-finite entry in features at row 1, column 0: nan$"):
+        with pytest.raises(ValueError, match=r"^Dataset: non-finite features value nan at row 1, column 0$"):
             validate_dataset(X, np.zeros((3, 3)), (1.0, 2.0))
         Y = np.zeros((3, 3))
         Y[2, 1] = -np.inf
-        with pytest.raises(ValueError, match=r"^non-finite entry in labels at row 2, column 1: -inf$"):
+        with pytest.raises(ValueError, match=r"^Dataset: non-finite labels value -inf at row 2, column 1$"):
             validate_dataset(np.zeros((3, 2)), Y, (1.0, 2.0))
 
     def test_leaves_the_callers_arrays_as_they_are(self):
@@ -174,6 +174,48 @@ class TestTrainTestSplit:
             train_test_split(ds, 0.0, seed=0)
         with pytest.raises(ValueError):
             train_test_split(ds, 1.0, seed=0)
+
+
+def _boundaries():
+    """(id, call taking the array, owner, what, a valid array, the width the
+    call requires or None) for every spectrum or label matrix boundary."""
+    rng = np.random.default_rng(3)
+    X, Y = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    fitted, pca = KnnRegressor(k=2).fit(X, Y), pca_fit(X, 2)
+    band = (1.0, 2.0, 3.0)
+    return [
+        ("fit-features", lambda A: KnnRegressor(k=2).fit(A, Y), "KnnRegressor", "features", X, None),
+        ("fit-labels", lambda A: KnnRegressor(k=2).fit(X, A), "KnnRegressor", "labels", Y, None),
+        ("query", fitted.predict, "KnnRegressor", "query", X, 3),
+        ("pca_fit", lambda A: pca_fit(A, 1), "pca_fit", "features", X, None),
+        ("pca_transform", lambda A: pca_transform(pca, A), "pca_transform", "features", X, 3),
+        ("dataset-features", lambda A: validate_dataset(A, Y, band), "Dataset", "features", X, 3),
+        ("dataset-labels", lambda A: validate_dataset(X, A, band), "Dataset", "labels", Y, 3),
+        ("rmse-truth", lambda A: rmse(A, Y), "rmse", "truth", Y, None),
+        ("rmse-prediction", lambda A: rmse(Y, A), "rmse", "prediction", Y, None),
+    ]
+
+
+def _boundary_cases():
+    for key, call, owner, what, A, width in _boundaries():
+        # a 1-D label at fit is one column, so a 3-D one stands in there
+        flat = A[:, :, None] if key == "fit-labels" else A[:, 0]
+        yield pytest.param(call, flat, f"{owner}: {what} must be 2-D, got shape {flat.shape}",
+                           id=f"{key}-not-2d")
+        if width is not None:
+            wide = np.hstack([A, A[:, :1]])
+            yield pytest.param(call, wide, f"{owner}: {what} must have width {width}, got {width + 1}",
+                               id=f"{key}-width")
+        bad = A.copy()
+        bad[4, 1] = np.nan
+        yield pytest.param(call, bad, f"{owner}: non-finite {what} value nan at row 4, column 1",
+                           id=f"{key}-nan")
+
+
+@pytest.mark.parametrize("call, bad, named", _boundary_cases())
+def test_every_matrix_boundary_names_the_owner_what_and_the_value(call, bad, named):
+    with pytest.raises(ValueError, match="^" + re.escape(named) + "$"):
+        call(bad)
 
 
 class TestPosition:

@@ -482,6 +482,20 @@ class TestStacking:
         direct = fit_on_dataset(StackingEnsemble(self._builders(2), final, n_folds=3, seed=4), ds)
         assert np.array_equal(via_plan.predict(ds.features), direct.predict(ds.features))
 
+    def test_the_final_gets_the_float_placeholder_band(self):
+        ds = toy_dataset(n=30, m=3, seed=17)
+        stack = fit_on_dataset(StackingEnsemble(self._builders(2), lambda sub, seed: cart_fit(sub)), ds)
+        band = stack.final_.frequencies_mhz
+        assert band == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert [type(f) for f in band] == [float] * 6
+
+    # a fold count or seed of another type is refused in test_parameter_checks.py
+    @pytest.mark.parametrize("n_folds", [1, 0])
+    def test_a_plan_needs_two_folds(self, n_folds):
+        ds = toy_dataset(n=10, m=3, seed=18)
+        with pytest.raises(ValueError, match=f"n_folds must be >= 2, got {n_folds}"):
+            build_stacking_plan(ds, self._builders(1), n_folds=n_folds)
+
     def test_validation(self):
         ds = toy_dataset(n=6, m=2, seed=14)
         with pytest.raises(ValueError):

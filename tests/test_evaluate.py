@@ -1,6 +1,7 @@
 """Accuracy metrics and the benchmark harness."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,20 @@ class TestCe95:
         T = rng.normal(size=(500, 3))
         P = T + rng.normal(scale=0.1, size=(500, 3))
         assert 0.0 < ce95(T, P) < 1.0
+
+
+@pytest.mark.parametrize("metric", [rmse, r2, ce95], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_metrics_refuse_a_non_finite_truth_or_prediction(metric, value):
+    T = np.arange(12.0).reshape(4, 3)
+    bad = T.copy()
+    bad[2, 0] = value
+    name = metric.__name__
+    with pytest.raises(ValueError, match=re.escape(f"{name}: non-finite truth value {value} at row 2, column 0")):
+        metric(bad, T)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name}: non-finite prediction value {value} at row 2, column 0")):
+        metric(T, bad)
 
 
 class TestEvalReport:

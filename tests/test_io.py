@@ -84,14 +84,14 @@ class TestDatasetCsv:
             read_dataset_csv(str(p))
         p.write_text("f_91.2,f_93.6,x,y,z\n1,2,3,4,5\n1,nan,3,4,5\n1,2,3,4,inf\n")
         with pytest.raises(ValueError, match=re.escape(
-                f"{p}: line 3: non-finite entry in features at row 1, column 1: nan")):
+                f"{p}: line 3: Dataset: non-finite features value nan at row 1, column 1")):
             read_dataset_csv(str(p))
         # features are checked before labels, as validate_dataset does
         p.write_text("f_91.2,f_93.6,x,y,z\n1,2,3,4,inf\n1,nan,3,4,5\n")
-        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: non-finite entry in features")):
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: Dataset: non-finite features value")):
             read_dataset_csv(str(p))
         p.write_text("f_91.2,f_93.6,x,y,z\n1,2,3,4,5\n1,2,3,4,5\n1,2,3,-inf,5\n")
-        with pytest.raises(ValueError, match=re.escape(f"{p}: line 4: non-finite entry in labels")):
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 4: Dataset: non-finite labels value")):
             read_dataset_csv(str(p))
 
     # extreme, subnormal and signed-zero doubles, written as repr writes them

@@ -1,10 +1,11 @@
 """Every numeric constructor parameter refuses a bad number, naming it.
 
 TABLE holds one row per numeric parameter of every public model, ensemble
-and config class, plus the counts of grid_positions and
-make_fullband_scenario. Each row is given NaN, inf, True and "1", and a
-count also 2.5; each must raise ValueError naming the parameter and the
-value. test_every_numeric_parameter_has_a_row fails when one of those
+and config class, plus the counts of the module-level functions
+grid_positions, make_fullband_scenario, build_stacking_plan,
+permutation_importance and select_rated_band. Each row is given NaN, inf,
+True and "1", and a count also 2.5; each must raise ValueError naming the
+parameter and the value. test_every_numeric_parameter_has_a_row fails when one of those
 classes gains a numeric parameter without a row, the way
 test_tracing_boundaries.py guards the traced names.
 """
@@ -44,7 +45,12 @@ from rfloc import (
     cart_fit,
     grid_positions,
     make_fullband_scenario,
+    permutation_importance,
+    select_rated_band,
 )
+from rfloc.ensemble import build_stacking_plan
+
+from conftest import toy_dataset
 
 COUNT, REAL = "count", "real"
 TREE = lambda train, seed: cart_fit(train)  # noqa: E731
@@ -56,6 +62,10 @@ ROOM = dict(room_dims=(6.0, 4.0, 3.0), sources=(), objects=(), noise_sigma_db=0.
 GRID = dict(room_dims=(6.0, 4.0, 3.0), counts=(2, 2), spacing=1.0, heights=(0.0, 1.0))
 HGBR = dict(strategy="boosting-hgbr")
 STACK = dict(strategy="stacking", final="dtr", base=("dtr",))
+TOY = toy_dataset(n=20, m=3, seed=0)
+PLAN = dict(train=TOY, base_builders=[TREE])
+IMPORTANCE = dict(model=cart_fit(TOY), test=TOY)
+RATED = dict(report=ImportanceReport((91.2, 93.6, 96.0), (0.3, 0.2, 0.1), 5, 0, 0.3))
 
 # (class or function, parameter, kind, the other arguments); a tuple-valued
 # parameter gets the bad value as its first element
@@ -125,6 +135,9 @@ TABLE = [
     (grid_positions, "spacing", REAL, GRID),
     (grid_positions, "heights", REAL, GRID),
     (make_fullband_scenario, "n_frequencies", COUNT, {"seed": 0}),
+    (build_stacking_plan, "n_folds", COUNT, PLAN),
+    (permutation_importance, "n_repeats", COUNT, IMPORTANCE),
+    (select_rated_band, "top_k", COUNT, RATED),
 ]
 
 CLASSES = sorted({target for target, *_ in TABLE if inspect.isclass(target)}, key=lambda c: c.__name__)
@@ -200,6 +213,7 @@ def _seeded_calls():
         ("fit_model", lambda seed: fit_model("knr", ds, seed=seed)),
         ("permutation_importance", lambda seed: permutation_importance(model, split.test, seed=seed)),
         ("benchmark", lambda seed: benchmark(["knr"], split, seed=seed)),
+        ("build_stacking_plan", lambda seed: build_stacking_plan(ds, [TREE], n_folds=2, seed=seed)),
         ("dddas_cycle", lambda seed: dddas_cycle(scenario, config, positions, "knr", 2, seed=seed)),
     ]
 

@@ -108,9 +108,9 @@ class TestModelContract:
         ds = toy_dataset(n=12, m=3, seed=2)
         fitted = fit_on_dataset(MAKERS[name](), ds)
         assert fitted.predict(ds.features[:2]).shape == (2, 3)
-        with pytest.raises(ValueError, match="fit on 3 features, got a query with 4"):
+        with pytest.raises(ValueError, match="query must have width 3, got 4"):
             fitted.predict(np.zeros((2, 4)))
-        with pytest.raises(ValueError, match="fit on 3 features, got a query with 2"):
+        with pytest.raises(ValueError, match="query must have width 3, got 2"):
             fitted.predict(np.zeros((2, 2)))
         assert (fitted.n_features, fitted.n_outputs) == (3, 3)
         # a non-finite query is refused once, at the model the caller asked
