@@ -82,10 +82,13 @@ class _BuilderEnsemble(Model):
     """
 
     def fit(self, features, labels):
-        return self.fit_dataset(_array_dataset(*self._fit_inputs(features, labels)))
+        return self._fit_checked(_array_dataset(*self._fit_inputs(features, labels)))
 
     def fit_dataset(self, train: Dataset):
         self._fit_inputs(train.features, train.labels)
+        return self._fit_checked(train)
+
+    def _fit_checked(self, train: Dataset):
         self._fit_members(train)
         return self._mark_fitted(train.m, train.labels.shape[1])
 

@@ -133,8 +133,10 @@ def append_dataset_csv(dataset: Dataset, path: str) -> None:
             f"{path}: existing file carries frequencies {existing}, "
             f"cannot append rows with {dataset.frequencies_mhz}"
         )
-    with open(path, "a", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_dataset_lines(dataset))
+    with open(path, "ab+") as fh:
+        fh.seek(-1, os.SEEK_END)  # a last line without its "\n" must not take the first row
+        fh.write(b"" if fh.read(1) == b"\n" else b"\n")
+        fh.writelines(line.encode("utf-8") for line in _dataset_lines(dataset))
 
 
 # ---------------------------------------------------------------------------

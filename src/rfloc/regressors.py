@@ -108,16 +108,17 @@ def fit_on_dataset(model: Model, train: Dataset) -> Model:
     return model
 
 
-# Query x train elements per block of a KNN predict.
+# Query x train elements per block of a KNN predict. At worst (all distances
+# equal, every row a candidate) its candidate arrays take a few int64 blocks.
 _KNN_BLOCK = 1 << 20
 
 
 class KnnRegressor(Model):
     """k-nearest-neighbor regression under Euclidean feature distance.
 
-    Distance ties are broken by lower training-row index. With
-    weighting="inverse-distance" an exact feature match (distance zero)
-    restricts the prediction to the zero-distance neighbors.
+    The k nearest are the first k by (distance, row index) of the rows at
+    or below the k-th distance. With weighting="inverse-distance" a query
+    with an exact match (distance zero) averages its zero-distance neighbors.
     """
 
     kind = "knr"
@@ -140,8 +141,7 @@ class KnnRegressor(Model):
         return self._mark_fitted(X.shape[1], Y.shape[1])
 
     def _predict(self, features):
-        # Queries a block of rows at a time, so the query x train distance
-        # and index arrays stay near _KNN_BLOCK elements; rows are independent.
+        # queries are independent: blocks keep each query x train array near _KNN_BLOCK
         block = max(1, _KNN_BLOCK // self._X.shape[0])
         out = np.empty((features.shape[0], self._Y.shape[1]))
         for start in range(0, features.shape[0], block):
@@ -150,26 +150,21 @@ class KnnRegressor(Model):
 
     def _predict_block(self, features):
         d = cdist(features, self._X)
-        k = self.k
-        # The k smallest by argpartition, ordered by (distance, row index).
-        cand = np.sort(np.argpartition(d, k - 1, axis=1)[:, :k], axis=1)
-        order = np.argsort(np.take_along_axis(d, cand, axis=1), axis=1, kind="stable")
-        nearest = np.take_along_axis(cand, order, axis=1)
-        # A row with more than k distances at or below its k-th (or a NaN k-th)
-        # has no unique k nearest: the stable full sort picks the lowest rows.
-        kth = np.take_along_axis(d, nearest[:, -1:], axis=1)
-        tied = np.count_nonzero(d <= kth, axis=1) != k
-        if tied.any():
-            nearest[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
-        neigh_y = self._Y[nearest]  # (q, k, d)
+        n, k = d.shape[1], self.k
+        # flat candidate positions run query by query, each in row order, so
+        # one stable (query, distance) sort puts each query's k nearest first
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1].copy()
+        pos = np.flatnonzero(d <= kth[:, None])
+        cand_d = d.ravel()[pos]
+        order = np.lexsort((cand_d, pos // n))
+        sel = order[np.searchsorted(pos, np.arange(0, d.size, n))[:, None] + np.arange(k)]
+        neigh_y = self._Y[pos[sel] % n]  # (q, k, d)
         if self.weighting == "uniform":
             return neigh_y.mean(axis=1)
-        neigh_d = np.take_along_axis(d, nearest, axis=1)
+        neigh_d = cand_d[sel]
         exact = neigh_d == 0.0
         with np.errstate(divide="ignore"):
-            w = np.where(exact, 0.0, 1.0 / np.where(exact, 1.0, neigh_d))
-        has_exact = exact.any(axis=1)
-        w[has_exact] = exact[has_exact].astype(np.float64)
+            w = np.where(exact.any(axis=1, keepdims=True), exact, 1 / neigh_d)
         w /= w.sum(axis=1, keepdims=True)
         return (w[:, :, None] * neigh_y).sum(axis=1)
 

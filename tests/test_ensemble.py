@@ -23,7 +23,7 @@ from rfloc.ensemble import (
     stacking_fit_from_plan,
     weighted_median,
 )
-from rfloc.regressors import CartRegressor, cart_fit, fit_on_dataset, knn_fit
+from rfloc.regressors import CartRegressor, Model, cart_fit, fit_on_dataset, knn_fit
 
 from conftest import toy_dataset
 from test_regressors import _grown_splits
@@ -294,22 +294,43 @@ class TestBagging:
         assert np.array_equal(a.predict(ds.features), b.predict(ds.features))
 
 
+def _tree(sub, seed):
+    return cart_fit(sub, max_depth=2)
+
+
+# one small instance of each builder ensemble
+_BUILDER_ENSEMBLES = (
+    lambda: AdaBoostR2(_tree, n_estimators=3, seed=1),
+    lambda: BaggingEnsemble(_tree, n_estimators=3, seed=1),
+    lambda: StackingEnsemble([_tree, _tree], _tree, seed=1),
+    lambda: RandomForest(n_estimators=3, max_features=2, seed=1),
+    lambda: ExtraTrees(n_estimators=3, seed=1),
+)
+
+
 class TestArrayFit:
     def test_array_fit_matches_dataset_fit(self):
         ds = toy_dataset(n=30, m=3, seed=15)
         X, Y = np.array(ds.features), np.array(ds.labels)
-        tree = lambda sub, seed: cart_fit(sub, max_depth=2)
-        makers = (
-            lambda: AdaBoostR2(tree, n_estimators=3, seed=1),
-            lambda: BaggingEnsemble(tree, n_estimators=3, seed=1),
-            lambda: StackingEnsemble([tree, tree], tree, seed=1),
-            lambda: RandomForest(n_estimators=3, max_features=2, seed=1),
-            lambda: ExtraTrees(n_estimators=3, seed=1),
-        )
-        for make in makers:
+        for make in _BUILDER_ENSEMBLES:
             on_arrays = make().fit(X, Y)
             on_dataset = fit_on_dataset(make(), _dataset(X, Y))
             assert np.array_equal(on_arrays.predict(X), on_dataset.predict(X))
+
+    def test_each_fit_checks_its_inputs_once(self, monkeypatch):
+        ds = toy_dataset(n=30, m=3, seed=15)
+        checked = []
+        fit_inputs = Model._fit_inputs
+        monkeypatch.setattr(
+            Model, "_fit_inputs", lambda self, X, Y: checked.append(self) or fit_inputs(self, X, Y)
+        )
+        fits = (lambda m: m.fit(np.array(ds.features), np.array(ds.labels)),
+                lambda m: fit_on_dataset(m, ds))
+        for make in _BUILDER_ENSEMBLES:
+            for fit in fits:
+                model = make()
+                fit(model)
+                assert sum(c is model for c in checked) == 1, type(model).__name__
 
     @pytest.mark.parametrize("kind", ["abr", "bagging-dtr", "rfr", "ert", "stacking"])
     @pytest.mark.parametrize("outputs", [None, 2], ids=["1-D", "2-column"])

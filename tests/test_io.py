@@ -169,6 +169,18 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match="cannot append"):
             append_dataset_csv(other, str(p))
 
+    def test_append_ends_an_open_last_line_first(self, tmp_path):
+        ds = toy_dataset(n=3, m=2, seed=5)
+        p = tmp_path / "d.csv"
+        write_dataset_csv(ds, str(p))
+        p.write_bytes(p.read_bytes().rstrip(b"\n"))  # a last line without its "\n"
+        assert read_dataset_csv(str(p)).n == 3  # which the reader accepts
+        append_dataset_csv(ds, str(p))
+        back = read_dataset_csv(str(p))
+        assert back.n == 6
+        assert np.array_equal(back.features, np.vstack([ds.features, ds.features]))
+        assert np.array_equal(back.labels, np.vstack([ds.labels, ds.labels]))
+
 
 class TestScenarioJson:
     def test_dict_round_trip_preserves_equality(self):

@@ -220,35 +220,42 @@ class TestKnn:
     @pytest.mark.parametrize("weighting", ["uniform", "inverse-distance"])
     @pytest.mark.parametrize("k", [1, 4, 60])
     def test_ties_at_the_kth_distance_match_a_stable_argsort(self, rng, k, weighting):
-        # Rows on a small integer grid repeat, so many sit at equal distances;
-        # distinct labels make any other choice among tied rows visible.
+        # Rows on a small integer grid repeat, and so do continuous rows drawn
+        # as a bootstrap draws them, so many sit at equal distances; distinct
+        # labels make any other choice among tied rows visible.
         X = rng.integers(0, 4, size=(60, 2)).astype(np.float64)
         Y = rng.normal(size=(60, 3))
         Q = rng.integers(0, 8, size=(200, 2)) / 2.0
-        d = cdist(Q, X)
-        kth = np.sort(d, axis=1)[:, k - 1 : k]
-        beyond = (d <= kth).sum(axis=1) > k
-        assert k == 60 or 0 < beyond.sum() < len(Q)  # both paths run
-        got = KnnRegressor(k=k, weighting=weighting).fit(X, Y).predict(Q)
-        assert np.array_equal(got, self._stable_argsort_predict(X, Y, Q, k, weighting))
+        B = rng.normal(size=(60, 2))[rng.integers(0, 60, 60)]
+        # the bootstrap rows' queries include 50 of them, exact matches
+        for X, Q in ((X, Q), (B, np.vstack([rng.normal(size=(150, 2)), B[:50]]))):
+            d = cdist(Q, X)
+            kth = np.sort(d, axis=1)[:, k - 1 : k]
+            beyond = (d <= kth).sum(axis=1) > k
+            assert k == 60 or 0 < beyond.sum() < len(Q)  # tied and untied queries
+            got = KnnRegressor(k=k, weighting=weighting).fit(X, Y).predict(Q)
+            assert np.array_equal(got, self._stable_argsort_predict(X, Y, Q, k, weighting))
 
     def test_predict_takes_the_queries_in_bounded_blocks(self, rng, monkeypatch):
         # 1800 x 4200 queries once held two full query x train arrays (115 MiB)
         X = rng.normal(size=(4200, 5))
         Y = rng.normal(size=(4200, 3))
         Q = rng.normal(size=(1800, 5))
-        m = KnnRegressor().fit(X, Y)
-        tracemalloc.start()
-        try:
-            got = m.predict(Q)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         full = 8 * Q.shape[0] * X.shape[0]
-        assert peak < 0.5 * full, f"peak {peak / full:.2f} query x train float64 arrays"
-        for rows_per_block in (1, 7, Q.shape[0]):
-            monkeypatch.setattr(regressors, "_KNN_BLOCK", rows_per_block * X.shape[0])
-            assert np.array_equal(m.predict(Q), got)
+        # plain rows, and the same rows repeated as a bootstrap draws them
+        for X in (X, X[rng.integers(0, 4200, 4200)]):
+            m = KnnRegressor().fit(X, Y)
+            tracemalloc.start()
+            try:
+                got = m.predict(Q)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5 * full, f"peak {peak / full:.2f} query x train float64 arrays"
+            with monkeypatch.context() as mp:
+                for rows_per_block in (1, 7, Q.shape[0]):
+                    mp.setattr(regressors, "_KNN_BLOCK", rows_per_block * X.shape[0])
+                    assert np.array_equal(m.predict(Q), got)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,10 @@ tree of the room-stack stacking final), the band-select workload's seed-1 import
 files and console output of each CLI command. Fit times are dropped before
 hashing, and temporary paths are replaced by a placeholder.
 
+The model digests cover knr ties: 7410 of their 14496 knr queries have more
+than k training rows at or below their k-th distance, so a knr change is
+checked on tied and untied queries alike.
+
     python tools/output_digests.py > digests.txt
 
 The package is imported from the src directory next to this script, so a
